@@ -1,7 +1,6 @@
-// Compression end-to-end microbenchmarks (docs/INTERNALS.md §13): the
-// legacy fixed-frame spill codec versus the delta/varint spill codec, and
-// plain versus BlockCodec-compressed DFS blobs, on the paper's workload
-// distributions —
+// Spill-codec end-to-end microbenchmarks (docs/INTERNALS.md §13): the
+// legacy fixed-frame spill codec versus the delta/varint spill codec, on
+// the paper's workload distributions —
 //
 //   spill/<dist>-groups  Sorted runs of (group key, count partial) records:
 //                        the shape the naive/MR-Cube mappers and SP-Cube's
@@ -14,18 +13,15 @@
 //                        SP-Cube's minimal-group emissions. Values dominate
 //                        the record, so the reduction is frame + key-prefix
 //                        savings only.
-//   dfs/<dist>           The same sorted group-count stream written as one
-//                        DFS blob with compression off versus on; reports
-//                        stored (wire/storage-modeled) bytes both ways.
 //
 // Both spill sides stream through the real SpillWriter/SpillReader; the
 // race isolates the run codec: the legacy side frames and checksums every
 // record individually (the seed's behavior), the delta side writes §13
 // blocks — kSpillBlockRecords delta-encoded records per CRC frame — which
 // is where both its byte and wall-clock wins come from. The legacy byte
-// figure is the canonical uncompressed twin — LegacySpillRecordFileBytes:
-// the 12-byte [u64 len][u32 crc] frame plus PutBytes(key)+PutBytes(value)
-// — i.e. exactly what the seed's format put on disk for the same records.
+// figure is LegacySpillRecordFileBytes: the 12-byte [u64 len][u32 crc]
+// frame plus PutBytes(key)+PutBytes(value) — i.e. exactly what the legacy
+// format put on disk for the same records.
 //
 // Wall-clock timing is host-side and legitimate here: two codecs race on
 // identical record streams, no simulated cluster involved. Results go to
@@ -42,11 +38,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/block_codec.h"
 #include "common/bytes.h"
 #include "cube/cuboid.h"
 #include "cube/group_key.h"
-#include "io/dfs.h"
 #include "io/spill.h"
 #include "mapreduce/shuffle.h"
 #include "relation/generators.h"
@@ -59,6 +53,25 @@ namespace bench = spcube::bench;
 namespace {
 
 volatile uint64_t g_sink = 0;  // defeats dead-code elimination
+
+/// Bytes of a LEB128 varint for `v`.
+int64_t VarintLen(uint64_t v) {
+  int64_t len = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++len;
+  }
+  return len;
+}
+
+/// On-disk bytes one record costs in the legacy spill format: an 8-byte
+/// length + 4-byte CRC frame around `[varint key_len | key | varint
+/// value_len | value]`.
+int64_t LegacySpillRecordFileBytes(size_t key_len, size_t value_len) {
+  return static_cast<int64_t>(sizeof(uint64_t) + sizeof(uint32_t)) +
+         VarintLen(key_len) + static_cast<int64_t>(key_len) +
+         VarintLen(value_len) + static_cast<int64_t>(value_len);
+}
 
 /// Best-of-`reps` wall milliseconds of `fn`.
 template <typename Fn>
@@ -117,7 +130,7 @@ struct SpillRow {
   double legacy_ms = 0;
   double delta_ms = 0;
   int64_t records = 0;
-  int64_t bytes_uncompressed = 0;  // canonical legacy on-disk twin
+  int64_t bytes_uncompressed = 0;  // legacy on-disk bytes
   int64_t bytes_compressed = 0;    // actual delta/varint on-disk bytes
 };
 
@@ -220,52 +233,6 @@ SpillRow RaceSpill(const std::string& name,
   return row;
 }
 
-struct DfsRow {
-  std::string name;
-  double plain_ms = 0;       // write + read-back, compression off
-  double compressed_ms = 0;  // write + read-back, compression on
-  int64_t bytes_uncompressed = 0;  // stored bytes with compression off
-  int64_t bytes_compressed = 0;    // stored bytes with compression on
-};
-
-/// Writes the record stream as one blob with compression off and on,
-/// reading it back each time (Read decompresses and verifies the CRC).
-DfsRow RaceDfs(const std::string& name,
-               const std::vector<SpillRecord>& records, int reps) {
-  std::string blob;
-  {
-    ByteWriter writer;
-    for (const SpillRecord& r : records) {
-      writer.PutBytes(r.key);
-      writer.PutBytes(r.value);
-    }
-    blob = writer.TakeData();
-  }
-  DfsRow row;
-  row.name = name;
-  for (const bool compress : {false, true}) {
-    DistributedFileSystem dfs;
-    dfs.SetCompression(compress);
-    const double ms = MeasureMs(reps, [&] {
-      if (Status s = dfs.Overwrite("/bench/blob", blob); !s.ok()) Abort(s);
-      Result<std::string> back = dfs.Read("/bench/blob");
-      if (!back.ok()) Abort(back.status());
-      if (back->size() != blob.size()) {
-        Abort(Status::Corruption("dfs round-trip size mismatch"));
-      }
-      g_sink = back->size();
-    });
-    if (compress) {
-      row.compressed_ms = ms;
-      row.bytes_compressed = dfs.TotalBytes("");
-    } else {
-      row.plain_ms = ms;
-      row.bytes_uncompressed = dfs.TotalBytes("");
-    }
-  }
-  return row;
-}
-
 double Ratio(int64_t a, int64_t b) {
   return b > 0 ? static_cast<double>(a) / static_cast<double>(b) : 0.0;
 }
@@ -309,33 +276,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n%-22s %12s %12s %9s %14s %14s %10s\n", "blob", "plain-ms",
-              "lz-ms", "speedup", "plain-bytes", "lz-bytes", "reduction");
-  std::vector<DfsRow> dfs_rows;
-  for (const auto& [dist, rel] :
-       {std::pair<const char*, const Relation*>{"zipf", &zipf},
-        std::pair<const char*, const Relation*>{"uniform", &uniform}}) {
-    const std::vector<SpillRecord> records = MakeRecords(*rel, true);
-    DfsRow row = RaceDfs(std::string("dfs/") + dist, records, reps);
-    std::printf("%-22s %12.2f %12.2f %9.2fx %14lld %14lld %9.2fx\n",
-                row.name.c_str(), row.plain_ms, row.compressed_ms,
-                row.plain_ms / row.compressed_ms,
-                static_cast<long long>(row.bytes_uncompressed),
-                static_cast<long long>(row.bytes_compressed),
-                Ratio(row.bytes_uncompressed, row.bytes_compressed));
-    dfs_rows.push_back(std::move(row));
-  }
-
   // The delta spill path must not lose wall-clock against the legacy codec
   // on any stream, and the headline Zipf streams must shrink >= 2x. The
-  // ratio gates are scale-aware: compression ratios grow with stream length
-  // (longer runs repeat more group keys, longer blobs repeat more LZ
-  // windows), so the 2x headline is enforced from half scale up while smoke
-  // runs (CI, check_all) gate at a floor that still catches codec
-  // regressions.
+  // ratio gate is scale-aware: compression ratios grow with stream length
+  // (longer runs repeat more group keys), so the 2x headline is enforced
+  // from half scale up while smoke runs (CI, check_all) gate at a floor
+  // that still catches codec regressions.
   const bool full_scale = n >= 25000;
   const double spill_gate = full_scale ? 2.0 : 1.4;
-  const double dfs_gate = full_scale ? 2.0 : 1.4;
   int exit_code = 0;
   for (const SpillRow& row : spill_rows) {
     if (row.delta_ms > row.legacy_ms) {
@@ -355,13 +303,6 @@ int main(int argc, char** argv) {
           spill_gate) {
     std::fprintf(stderr, "FAIL %s: spill reduction below the %.1fx gate\n",
                  spill_rows[0].name.c_str(), spill_gate);
-    exit_code = 1;
-  }
-  if (!dfs_rows.empty() &&
-      Ratio(dfs_rows[0].bytes_uncompressed, dfs_rows[0].bytes_compressed) <
-          dfs_gate) {
-    std::fprintf(stderr, "FAIL %s: DFS reduction below the %.1fx gate\n",
-                 dfs_rows[0].name.c_str(), dfs_gate);
     exit_code = 1;
   }
 
@@ -386,18 +327,6 @@ int main(int argc, char** argv) {
           first ? "" : ",\n", row.name.c_str(), row.legacy_ms, row.delta_ms,
           row.legacy_ms / row.delta_ms, static_cast<long long>(row.records),
           static_cast<long long>(row.bytes_uncompressed),
-          static_cast<long long>(row.bytes_compressed),
-          Ratio(row.bytes_uncompressed, row.bytes_compressed));
-      first = false;
-    }
-    for (const DfsRow& row : dfs_rows) {
-      std::fprintf(
-          out,
-          "%s    {\"name\": \"%s\", \"plain_ms\": %.3f, "
-          "\"compressed_ms\": %.3f, \"bytes_dfs_uncompressed\": %lld, "
-          "\"bytes_dfs_compressed\": %lld, \"reduction\": %.3f}",
-          first ? "" : ",\n", row.name.c_str(), row.plain_ms,
-          row.compressed_ms, static_cast<long long>(row.bytes_uncompressed),
           static_cast<long long>(row.bytes_compressed),
           Ratio(row.bytes_uncompressed, row.bytes_compressed));
       first = false;

@@ -14,8 +14,8 @@
 // attempts at increasing rates. Reports partitions split, recovery
 // rounds, bytes re-shuffled and the simulated recovery time.
 //
-// Results go to stdout and, with --emit-json=<path> (legacy --json=), to a
-// JSON file matching the tools/validate_bench_json.py schema.
+// Results go to stdout and, with --emit-json=<path>, to a JSON file
+// matching the tools/validate_bench_json.py schema.
 
 #include <cstdio>
 #include <fstream>

@@ -14,8 +14,8 @@
 //
 // Wall-clock timing is host-side and legitimate here: these race two code
 // paths on identical in-memory inputs, no simulated cluster involved.
-// Results go to stdout and, with --emit-json=<path> (legacy --json=), to a
-// JSON file matching the tools/validate_bench_json.py schema.
+// Results go to stdout and, with --emit-json=<path>, to a JSON file
+// matching the tools/validate_bench_json.py schema.
 
 #include <algorithm>
 #include <atomic>
@@ -229,59 +229,6 @@ int main(int argc, char** argv) {
     });
     PrintRow(row);
     table.push_back(row);
-  }
-
-  {
-    // BUC partition primitive again, racing the plain int64 column against
-    // the dictionary-encoded relation's narrow code scan (docs/INTERNALS.md
-    // §13): codes are order-preserving, so the sort/run-count is identical
-    // work over u8/u16 cells instead of int64 — the row reports the plain
-    // column in the row-major slot and the code scan in the columnar slot.
-    BenchRow row{"dict-codes-scan", {}, {}};
-    Relation encoded = GenZipf(n, 3, 3, 1000, 1.1, 20260806);
-    encoded.DictionaryEncode();
-    std::vector<int64_t> rows(static_cast<size_t>(n));
-    row.row_major = Measure(reps, [&] {
-      uint64_t runs = 0;
-      for (int dim = 0; dim < d; ++dim) {
-        const std::span<const int64_t> col = rel.column(dim);
-        std::iota(rows.begin(), rows.end(), int64_t{0});
-        std::sort(rows.begin(), rows.end(), [col](int64_t a, int64_t b) {
-          return col[static_cast<size_t>(a)] < col[static_cast<size_t>(b)];
-        });
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (i == 0 || col[static_cast<size_t>(rows[i])] !=
-                            col[static_cast<size_t>(rows[i - 1])]) {
-            ++runs;
-          }
-        }
-      }
-      g_sink = runs;
-    });
-    row.columnar = Measure(reps, [&] {
-      uint64_t runs = 0;
-      for (int dim = 0; dim < d; ++dim) {
-        const Relation::ColumnScan scan = encoded.scan(dim);
-        std::iota(rows.begin(), rows.end(), int64_t{0});
-        std::sort(rows.begin(), rows.end(), [&scan](int64_t a, int64_t b) {
-          return scan[static_cast<size_t>(a)] < scan[static_cast<size_t>(b)];
-        });
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (i == 0 || scan[static_cast<size_t>(rows[i])] !=
-                            scan[static_cast<size_t>(rows[i - 1])]) {
-            ++runs;
-          }
-        }
-      }
-      g_sink = runs;
-    });
-    PrintRow(row);
-    table.push_back(row);
-    std::printf("  physical bytes: plain %lld -> encoded %lld (%.2fx)\n",
-                static_cast<long long>(rel.PhysicalByteSize()),
-                static_cast<long long>(encoded.PhysicalByteSize()),
-                static_cast<double>(rel.PhysicalByteSize()) /
-                    static_cast<double>(encoded.PhysicalByteSize()));
   }
 
   {

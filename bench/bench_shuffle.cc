@@ -19,8 +19,8 @@
 //
 // Wall-clock timing is host-side and legitimate here: these race two code
 // paths on identical in-memory inputs, no simulated cluster involved.
-// Results go to stdout and, with --emit-json=<path> (legacy --json=), to a
-// JSON file matching the tools/validate_bench_json.py schema. Allocation
+// Results go to stdout and, with --emit-json=<path>, to a JSON file
+// matching the tools/validate_bench_json.py schema. Allocation
 // columns count global operator new calls per rep (reported per record in
 // the JSON).
 
@@ -121,10 +121,9 @@ struct BenchRow {
   // Spill-run footprints of one rep (identical across reps: the schedule is
   // deterministic). The baseline writes legacy [len][key][len][value]
   // payloads; the arena path writes delta/varint runs (docs/INTERNALS.md
-  // §13) and also reports its uncompressed twin.
+  // §13).
   int64_t baseline_spill_bytes = 0;
   int64_t arena_spill_bytes = 0;
-  int64_t arena_spill_bytes_uncompressed = 0;
 };
 
 void PrintRow(const BenchRow& row, int64_t records) {
@@ -157,14 +156,8 @@ void WriteJson(const std::string& path, int64_t records,
         << static_cast<double>(r.arena.allocs) /
                static_cast<double>(records);
     if (r.arena_spill_bytes > 0) {
-      // Twin fields follow the validator's ordering rule: compressed never
-      // exceeds its uncompressed sibling.
       out << ", \"baseline_bytes_spilled\": " << r.baseline_spill_bytes
-          << ", \"bytes_spilled_compressed\": " << r.arena_spill_bytes
-          << ", \"bytes_spilled_uncompressed\": "
-          << r.arena_spill_bytes_uncompressed << ", \"spill_reduction\": "
-          << static_cast<double>(r.arena_spill_bytes_uncompressed) /
-                 static_cast<double>(r.arena_spill_bytes);
+          << ", \"bytes_spilled_compressed\": " << r.arena_spill_bytes;
     }
     out << "}" << (i + 1 < table.size() ? "," : "") << "\n";
   }
@@ -240,7 +233,6 @@ BenchRow RaceScenario(const char* name, const std::vector<EmitInput>& inputs,
     ShuffleBuffer buffer(num_partitions, budget, combiner, temp, &counters);
     Drive(buffer, inputs);
     row.arena_spill_bytes = counters.spill_bytes;
-    row.arena_spill_bytes_uncompressed = counters.spill_bytes_uncompressed;
     g_sink = static_cast<uint64_t>(counters.map_output_bytes +
                                    counters.spill_bytes);
   });
@@ -291,13 +283,9 @@ int main(int argc, char** argv) {
                                  reps));
     PrintRow(table.back(), n);
     const BenchRow& row = table.back();
-    std::printf("  spill runs: legacy %lld B -> delta %lld B "
-                "(%.2fx vs its uncompressed twin %lld B)\n",
+    std::printf("  spill runs: legacy %lld B -> delta %lld B\n",
                 static_cast<long long>(row.baseline_spill_bytes),
-                static_cast<long long>(row.arena_spill_bytes),
-                static_cast<double>(row.arena_spill_bytes_uncompressed) /
-                    static_cast<double>(row.arena_spill_bytes),
-                static_cast<long long>(row.arena_spill_bytes_uncompressed));
+                static_cast<long long>(row.arena_spill_bytes));
   }
 
   if (!json_path.empty()) {

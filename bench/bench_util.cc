@@ -218,7 +218,6 @@ int ParseThreads(int argc, char** argv) {
 std::string ParseEmitJsonPath(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--emit-json=", 12) == 0) return argv[i] + 12;
-    if (std::strncmp(argv[i], "--json=", 7) == 0) return argv[i] + 7;
   }
   return "";
 }

@@ -146,10 +146,10 @@ class BenchJson {
   std::vector<Row> rows_;
 };
 
-/// Parses "--emit-json=<path>" (or the legacy "--json=<path>" spelling)
-/// from argv; empty string when absent. The emitted file must satisfy
-/// tools/validate_bench_json.py: a top-level object with a "bench" name
-/// and a non-empty "results" array of {name, numeric fields...} rows.
+/// Parses "--emit-json=<path>" from argv; empty string when absent. The
+/// emitted file must satisfy tools/validate_bench_json.py: a top-level
+/// object with a "bench" name and a non-empty "results" array of {name,
+/// numeric fields...} rows.
 std::string ParseEmitJsonPath(int argc, char** argv);
 
 inline int64_t Scaled(int64_t base, double scale) {

@@ -58,16 +58,6 @@ class StringShuffleBuffer {
 
   Status FinalizeMapOutput() { return CombineInMemory(); }
 
-  std::vector<Record> TakeMemoryRecords(int partition) {
-    return std::move(memory_[static_cast<size_t>(partition)]);
-  }
-
-  std::vector<RunInfo> TakeSpillRuns(int partition) {
-    std::vector<RunInfo> runs;
-    runs.swap(spill_runs_[static_cast<size_t>(partition)]);
-    return runs;
-  }
-
  private:
   Status Overflow() {
     if (combiner_ != nullptr) {

@@ -277,9 +277,6 @@ Status SpCubeReducer::ReduceRangeGroup(const GroupKey& group,
     }
     local.AppendRow(dims, measure);
   }
-  if (tuning_.dictionary_encode_partitions) {
-    local.DictionaryEncode();
-  }
 
   int64_t owned = 0;
   int64_t rejected = 0;

@@ -26,15 +26,6 @@ struct SpCubeTuning {
   /// every non-skewed group is emitted and reducers aggregate only the
   /// received group itself.
   bool emit_minimal_groups_only = true;
-
-  /// Dictionary-encode the reducer's materialized range partition before
-  /// running local BUC over it (docs/INTERNALS.md §13): BUC's partition
-  /// sorts and uniform-run scans then read narrow order-preserving code
-  /// arrays instead of int64 columns, and values decode only at group-key
-  /// emission. Exact and wire-identical either way (the differential grid
-  /// covers both settings); modeled metrics never see the difference —
-  /// Relation::ByteSize is deliberately logical.
-  bool dictionary_encode_partitions = false;
 };
 
 /// Round-2 partitioner (paper §3.3): skewed-group keys go to the dedicated

@@ -36,13 +36,10 @@ AggState AggregateRange(const BucContext& ctx, size_t begin, size_t end) {
 
 /// Reports the group covering rows [begin, end) for `mask`, then partitions
 /// on each remaining dimension and recurses (classic BUC, paper [15]).
-/// Partitioning reads one contiguous dimension column — dictionary codes
-/// when the relation is encoded (order-preserving, so runs and sort order
-/// are identical to the decoded values): a first scan detects already-
-/// uniform ranges (common deep in the recursion) and skips the sort;
-/// otherwise the sort comparator gathers from the same column, not from
-/// strided row-major tuples. Values decode only at group-key emission,
-/// through rel.row().
+/// Partitioning reads one contiguous dimension column: a first scan detects
+/// already-uniform ranges (common deep in the recursion) and skips the
+/// sort; otherwise the sort comparator gathers from the same column, not
+/// from strided row-major tuples.
 void BucRecurse(BucContext& ctx, size_t begin, size_t end, CuboidMask mask,
                 size_t next_order_pos) {
   const AggState state = AggregateRange(ctx, begin, end);
@@ -50,7 +47,7 @@ void BucRecurse(BucContext& ctx, size_t begin, size_t end, CuboidMask mask,
 
   for (size_t pos = next_order_pos; pos < ctx.dim_order.size(); ++pos) {
     const int dim = ctx.dim_order[pos];
-    const Relation::ColumnScan col = ctx.rel.scan(dim);
+    const std::span<const int64_t> col = ctx.rel.column(dim);
 
     // Column pre-scan: if every row in the range shares one value, the
     // range is a single run — no sort, and the recursion reuses the range.
@@ -113,7 +110,7 @@ void OrderDimsByCardinality(const Relation& rel,
   std::vector<int64_t> cardinality(static_cast<size_t>(rel.num_dims()), 0);
   std::vector<int64_t> scratch(sample_size);
   for (int d : *dim_order) {
-    const Relation::ColumnScan col = rel.scan(d);
+    const std::span<const int64_t> col = rel.column(d);
     for (size_t i = 0; i < sample_size; ++i) {
       scratch[i] = col[static_cast<size_t>(sample_rows[i])];
     }

@@ -78,14 +78,11 @@ void PipeSortComputeFull(const Relation& rel, const Aggregator& agg,
   if (n == 0) return;
   const int d = rel.num_dims();
 
-  // One scan per dimension column, hoisted so the sort comparator and the
-  // run-boundary scan read contiguous columns directly — dictionary codes
-  // when the relation is encoded (order-preserving, so sort order and run
-  // boundaries match the decoded values; decode happens at emission via
-  // rel.row()).
-  std::vector<Relation::ColumnScan> cols;
+  // One span per dimension column, hoisted so the sort comparator and the
+  // run-boundary scan read contiguous columns directly.
+  std::vector<std::span<const int64_t>> cols;
   cols.reserve(static_cast<size_t>(d));
-  for (int dim = 0; dim < d; ++dim) cols.push_back(rel.scan(dim));
+  for (int dim = 0; dim < d; ++dim) cols.push_back(rel.column(dim));
 
   std::vector<int64_t> rows(static_cast<size_t>(n));
   for (const Pipeline& pipeline : PlanPipelines(d)) {
@@ -127,7 +124,8 @@ void PipeSortComputeFull(const Relation& rel, const Aggregator& agg,
         int differs_at = d;  // no difference
         for (int pos = 0; pos < d; ++pos) {
           const int dim = pipeline.order[static_cast<size_t>(pos)];
-          const Relation::ColumnScan col = cols[static_cast<size_t>(dim)];
+          const std::span<const int64_t> col =
+              cols[static_cast<size_t>(dim)];
           if (col[static_cast<size_t>(prev)] !=
               col[static_cast<size_t>(row)]) {
             differs_at = pos;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/block_codec.h"
 #include "common/hash.h"
 
 namespace spcube {
@@ -15,15 +14,9 @@ constexpr int kMaxFetchAttempts = 6;
 }  // namespace
 
 DistributedFileSystem::Blob DistributedFileSystem::MakeBlob(
-    std::string contents) const SPCUBE_REQUIRES(mu_) {
+    std::string contents) {
   Blob blob;
-  blob.logical_size = static_cast<int64_t>(contents.size());
-  if (compress_writes_) {
-    BlockCodec::Compress(contents, &blob.data);
-    blob.compressed = true;
-  } else {
-    blob.data = std::move(contents);
-  }
+  blob.data = std::move(contents);
   blob.crc = Crc32c(blob.data);
   return blob;
 }
@@ -49,23 +42,8 @@ Status DistributedFileSystem::Append(const std::string& path,
                                      std::string_view contents) {
   MutexLock lock(&mu_);
   Blob& blob = files_[path];
-  if (!blob.compressed && !compress_writes_) {
-    blob.data.append(contents);
-    blob.logical_size = static_cast<int64_t>(blob.data.size());
-    blob.crc = Crc32c(blob.data);
-    return Status::OK();
-  }
-  // Append is a write, so the result is re-encoded under the current
-  // compression setting: decode the existing payload (stored bytes are
-  // trusted at rest — corruption is modeled in flight), extend, re-encode.
-  std::string payload;
-  if (blob.compressed) {
-    SPCUBE_RETURN_IF_ERROR(BlockCodec::Decompress(blob.data, &payload));
-  } else {
-    payload = std::move(blob.data);
-  }
-  payload.append(contents);
-  blob = MakeBlob(std::move(payload));
+  blob.data.append(contents);
+  blob.crc = Crc32c(blob.data);
   return Status::OK();
 }
 
@@ -80,27 +58,18 @@ Result<std::string> DistributedFileSystem::Read(const std::string& path)
     return Status::NotFound("dfs file not found: " + path);
   }
   const Blob& blob = it->second;
-  if (injector_ == nullptr) {
-    if (!blob.compressed) return blob.data;
-    std::string decoded;
-    SPCUBE_RETURN_IF_ERROR(BlockCodec::Decompress(blob.data, &decoded));
-    return decoded;
-  }
+  if (injector_ == nullptr) return blob.data;
 
-  // Model the transfer: each fetch delivers a copy of the *stored* bytes the
+  // Model the transfer: each fetch delivers a copy of the stored bytes the
   // injector may corrupt in flight; a checksum mismatch triggers a re-fetch
-  // of the same blob. Decoding happens only after a fetch passes the
-  // checksum — compression sits under CRC, above fault injection (§13).
+  // of the same blob.
   bool mismatched = false;
   for (int fetch = 0; fetch < kMaxFetchAttempts; ++fetch) {
     std::string delivered = blob.data;
     injector_->MaybeCorrupt("dfs:" + path, /*item=*/0, fetch, &delivered);
     if (Crc32c(delivered) == blob.crc) {
       if (mismatched) ++reads_recovered_;
-      if (!blob.compressed) return delivered;
-      std::string decoded;
-      SPCUBE_RETURN_IF_ERROR(BlockCodec::Decompress(delivered, &decoded));
-      return decoded;
+      return delivered;
     }
     ++checksum_mismatches_;
     mismatched = true;
@@ -171,27 +140,9 @@ int64_t DistributedFileSystem::TotalBytes(const std::string& prefix) const {
   return total;
 }
 
-int64_t DistributedFileSystem::TotalLogicalBytes(
-    const std::string& prefix) const {
-  MutexLock lock(&mu_);
-  int64_t total = 0;
-  for (auto it = files_.lower_bound(prefix);
-       it != files_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    total += it->second.logical_size;
-  }
-  return total;
-}
-
 int64_t DistributedFileSystem::file_count() const {
   MutexLock lock(&mu_);
   return static_cast<int64_t>(files_.size());
-}
-
-void DistributedFileSystem::SetCompression(bool enabled) {
-  MutexLock lock(&mu_);
-  compress_writes_ = enabled;
 }
 
 Status DistributedFileSystem::VerifyChecksum(const std::string& path) const {

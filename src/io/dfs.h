@@ -28,14 +28,6 @@ namespace spcube {
 /// what turns in-flight corruption into a counted, recovered event rather
 /// than silent data loss. Corruption that survives every re-fetch surfaces
 /// as a Corruption status.
-///
-/// With SetCompression(true), writes store BlockCodec-compressed blobs.
-/// Compression sits *under* the CRC layer and *above* fault injection
-/// (docs/INTERNALS.md §13): the checksum covers the stored (compressed)
-/// bytes, injected corruption strikes those same bytes in flight, and
-/// decoding happens only after a fetch passes the checksum. TotalBytes
-/// reports stored bytes — the modeled transfer/storage cost — while
-/// TotalLogicalBytes reports the pre-compression payload.
 class DistributedFileSystem {
  public:
   DistributedFileSystem() = default;
@@ -73,26 +65,16 @@ class DistributedFileSystem {
   /// Lists paths with the given prefix, in lexicographic order.
   std::vector<std::string> List(const std::string& prefix) const;
 
-  /// Sum of stored file sizes under a prefix (pass "" for the whole FS).
-  /// Compressed blobs count at their compressed size — this is the modeled
-  /// storage/transfer cost.
+  /// Sum of stored file sizes under a prefix (pass "" for the whole FS) —
+  /// the modeled storage/transfer cost.
   int64_t TotalBytes(const std::string& prefix) const;
-
-  /// Sum of logical (pre-compression) payload sizes under a prefix. Equal to
-  /// TotalBytes when compression is off.
-  int64_t TotalLogicalBytes(const std::string& prefix) const;
 
   int64_t file_count() const;
 
-  /// Enables/disables BlockCodec compression for subsequent writes (Write,
-  /// Overwrite, Append). Already-stored blobs are unaffected; Append
-  /// re-encodes the blob it touches under the current setting.
-  void SetCompression(bool enabled);
-
   /// Verifies a blob's stored bytes against its checksum in place, without
-  /// the whole-blob copy (and decode) a Read pays. For checksum-only
-  /// verification probes; does not model a transfer, so the fault injector
-  /// is not consulted.
+  /// the whole-blob copy a Read pays. For checksum-only verification
+  /// probes; does not model a transfer, so the fault injector is not
+  /// consulted.
   Status VerifyChecksum(const std::string& path) const;
 
   /// Installs (or clears, with nullptr) the fault model consulted on reads.
@@ -108,19 +90,14 @@ class DistributedFileSystem {
 
  private:
   struct Blob {
-    std::string data;            // stored bytes (compressed when `compressed`)
-    int64_t logical_size = 0;    // pre-compression payload bytes
-    uint32_t crc = 0;            // CRC32C of `data` (the stored bytes)
-    bool compressed = false;
+    std::string data;
+    uint32_t crc = 0;  // CRC32C of `data`
   };
 
-  /// Encodes logical contents into a blob under the current compression
-  /// setting and stamps its checksum.
-  Blob MakeBlob(std::string contents) const SPCUBE_REQUIRES(mu_);
+  static Blob MakeBlob(std::string contents);
 
   mutable Mutex mu_;
   std::map<std::string, Blob> files_ SPCUBE_GUARDED_BY(mu_);
-  bool compress_writes_ SPCUBE_GUARDED_BY(mu_) = false;
   IoFaultInjector* injector_ SPCUBE_GUARDED_BY(mu_) = nullptr;
   mutable int64_t checksum_mismatches_ SPCUBE_GUARDED_BY(mu_) = 0;
   mutable int64_t reads_recovered_ SPCUBE_GUARDED_BY(mu_) = 0;

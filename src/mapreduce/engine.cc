@@ -224,6 +224,29 @@ struct ReduceTaskState {
   double recovery_seconds = 0.0;
 };
 
+/// Charges one finished task (map or reduce) to the modeled cluster.
+/// Stragglers run `slowdown_factor` slow; with speculative execution and a
+/// `backup` machine (>= 0) the slot pays at most 2x measured (the slow copy
+/// is killed when the backup finishes) and the backup's measured time is
+/// billed to `backup`. `charge(machine, seconds)` adds to one machine's
+/// phase time.
+template <typename TaskState, typename ChargeFn>
+void ChargeTask(const TaskState& task, int machine, int backup,
+                bool speculative_execution, JobMetrics* metrics,
+                ChargeFn&& charge) {
+  const double base = task.busy_seconds;
+  double charged = base * task.slowdown_factor;
+  if (task.slowdown_factor > 1.0 && speculative_execution && backup >= 0) {
+    charged = std::min(charged, 2.0 * base);
+    charge(backup, base);
+    ++metrics->tasks_speculatively_reexecuted;
+    metrics->fault_recovery_seconds += base;
+  }
+  charge(machine, charged + task.penalty_seconds);
+  metrics->fault_recovery_seconds += task.penalty_seconds;
+  metrics->task_retries += task.retries;
+}
+
 /// ValueStream over a contiguous [begin, end) range of Records — feeds the
 /// merge reducer one key's partial final values during split recovery.
 class RecordRangeValueStream : public ValueStream {
@@ -264,9 +287,6 @@ Engine::Engine(EngineConfig config, DistributedFileSystem* dfs)
       << config_.retry_backoff_jitter;
   if (config_.fault_plan != nullptr && dfs_ != nullptr) {
     dfs_->SetFaultInjector(config_.fault_plan);
-  }
-  if (dfs_ != nullptr) {
-    dfs_->SetCompression(config_.compress_dfs_blobs);
   }
 }
 
@@ -556,8 +576,6 @@ Result<JobMetrics> Engine::RunImpl(
           total.combine_output_records +=
               part.counters.combine_output_records;
           total.spill_bytes += part.counters.spill_bytes;
-          total.spill_bytes_uncompressed +=
-              part.counters.spill_bytes_uncompressed;
           total.checksum_mismatches += part.counters.checksum_mismatches;
           for (const auto& [name, delta] : part.custom_counters) {
             state.custom_counters[name] += delta;
@@ -621,27 +639,17 @@ Result<JobMetrics> Engine::RunImpl(
     return -1;
   };
 
-  // Charge the original map tasks: stragglers run `slowdown_factor` slow;
-  // with speculative execution the slot pays at most 2x measured (the slow
-  // copy is killed when the backup finishes) and the backup's measured time
-  // lands on the next machine. Crashed machines still pay for their
-  // original tasks — the work happened before the crash.
+  // Charge the original map tasks; a straggler's speculative backup runs on
+  // the next machine. Crashed machines still pay for their original tasks —
+  // the work happened before the crash.
   std::vector<double> map_seconds(static_cast<size_t>(num_workers), 0.0);
+  const auto charge_map = [&map_seconds](int machine, double seconds) {
+    map_seconds[static_cast<size_t>(machine)] += seconds;
+  };
   for (int w = 0; w < num_workers; ++w) {
-    MapTaskState& task = map_tasks[static_cast<size_t>(w)];
-    const double base = task.busy_seconds;
-    double charged = base * task.slowdown_factor;
-    if (task.slowdown_factor > 1.0 && config_.speculative_execution &&
-        num_workers > 1) {
-      const int backup = (w + 1) % num_workers;
-      charged = std::min(charged, 2.0 * base);
-      map_seconds[static_cast<size_t>(backup)] += base;
-      ++metrics.tasks_speculatively_reexecuted;
-      metrics.fault_recovery_seconds += base;
-    }
-    map_seconds[static_cast<size_t>(w)] += charged + task.penalty_seconds;
-    metrics.fault_recovery_seconds += task.penalty_seconds;
-    metrics.task_retries += task.retries;
+    const int backup = num_workers > 1 ? (w + 1) % num_workers : -1;
+    ChargeTask(map_tasks[static_cast<size_t>(w)], w, backup,
+               config_.speculative_execution, &metrics, charge_map);
   }
 
   // Re-execute the crashed machines' map tasks on the least-loaded
@@ -690,10 +698,8 @@ Result<JobMetrics> Engine::RunImpl(
     ReduceInput& in = reduce_inputs[static_cast<size_t>(p)];
     // Wire bytes: what actually crosses the network for this reducer —
     // in-memory segment payloads plus the on-disk (delta/varint-encoded)
-    // bytes of spilled runs. The twin is what the legacy fixed-frame spill
-    // format would have shipped (docs/INTERNALS.md §13).
+    // bytes of spilled runs (docs/INTERNALS.md §13).
     int64_t wire_bytes = 0;
-    int64_t wire_bytes_uncompressed = 0;
     for (int w = 0; w < num_workers; ++w) {
       // Machine-major, producer-minor: segments merge on hand-off in
       // producer-index order, so reduce input order is identical however
@@ -707,7 +713,6 @@ Result<JobMetrics> Engine::RunImpl(
         in.total_bytes += segment.payload_bytes();
         in.total_records += segment.num_records();
         wire_bytes += segment.payload_bytes();
-        wire_bytes_uncompressed += segment.payload_bytes();
         if (!segment.empty()) {
           in.memory_segments.push_back(std::move(segment));
         }
@@ -716,7 +721,6 @@ Result<JobMetrics> Engine::RunImpl(
           in.total_bytes += run.payload_bytes;
           in.total_records += run.records;
           wire_bytes += run.file_bytes;
-          wire_bytes_uncompressed += run.uncompressed_file_bytes;
           in.spill_runs.push_back(std::move(run));
         }
       }
@@ -727,7 +731,6 @@ Result<JobMetrics> Engine::RunImpl(
     metrics.shuffle_records += in.total_records;
     metrics.shuffle_bytes += in.total_bytes;
     metrics.shuffle_bytes_compressed += wire_bytes;
-    metrics.shuffle_bytes_uncompressed += wire_bytes_uncompressed;
   }
 
   // Transfer time charges the bytes that actually move: when nothing
@@ -1138,24 +1141,16 @@ Result<JobMetrics> Engine::RunImpl(
   }
 
   // Charge the reduce tasks to their machines (after the join, so straggler
-  // speculation can deterministically bill a second machine).
+  // speculation can deterministically bill a second machine: the next live
+  // one).
+  const auto charge_reduce = [&metrics](int machine, double seconds) {
+    metrics.reduce_phase.Accumulate(machine, seconds);
+  };
   for (int p = 0; p < num_reducers; ++p) {
     const int machine = machine_of[static_cast<size_t>(p)];
     const ReduceTaskState& state = reduce_tasks[static_cast<size_t>(p)];
-    const double base = state.busy_seconds;
-    double charged = base * state.slowdown_factor;
-    const int backup = next_alive(machine);
-    if (state.slowdown_factor > 1.0 && config_.speculative_execution &&
-        backup >= 0) {
-      charged = std::min(charged, 2.0 * base);
-      metrics.reduce_phase.Accumulate(backup, base);
-      ++metrics.tasks_speculatively_reexecuted;
-      metrics.fault_recovery_seconds += base;
-    }
-    metrics.reduce_phase.Accumulate(machine,
-                                    charged + state.penalty_seconds);
-    metrics.fault_recovery_seconds += state.penalty_seconds;
-    metrics.task_retries += state.retries;
+    ChargeTask(state, machine, next_alive(machine),
+               config_.speculative_execution, &metrics, charge_reduce);
     if (state.recovery_rounds > 0) ++metrics.reduce_partitions_split;
     metrics.recovery_rounds += state.recovery_rounds;
     metrics.recovery_bytes_reshuffled += state.bytes_reshuffled;
@@ -1166,18 +1161,14 @@ Result<JobMetrics> Engine::RunImpl(
   // accumulated into the per-machine counters; fold them in with the
   // map-side spills.
   int64_t total_spill = 0;
-  int64_t total_spill_uncompressed = 0;
   for (const MapTaskState& task : map_tasks) {
     total_spill += task.shuffle_counters.spill_bytes;
-    total_spill_uncompressed += task.shuffle_counters.spill_bytes_uncompressed;
   }
   for (const ShuffleCounters& c : reduce_counters) {
     total_spill += c.spill_bytes;
-    total_spill_uncompressed += c.spill_bytes_uncompressed;
     metrics.shuffle_checksum_mismatches += c.checksum_mismatches;
   }
   metrics.spill_bytes = total_spill;
-  metrics.spill_bytes_uncompressed = total_spill_uncompressed;
 
   for (int64_t out : metrics.reducer_output_records) {
     metrics.output_records += out;

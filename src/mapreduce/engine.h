@@ -109,14 +109,6 @@ struct EngineConfig {
   /// finishes) and the backup's measured time is charged to another live
   /// machine — Hadoop's speculative execution in the cost model.
   bool speculative_execution = true;
-
-  /// Store DFS blobs BlockCodec-compressed (docs/INTERNALS.md §13). The
-  /// checksum layer covers the compressed bytes, so fault injection and
-  /// re-fetch recovery are unchanged; compression CPU lands in the writing
-  /// machine's measured busy time, and DFS byte totals report the stored
-  /// (compressed) size. Off by default: exact byte totals of existing
-  /// configurations stay bit-identical.
-  bool compress_dfs_blobs = false;
 };
 
 /// Executes MapReduce rounds over the simulated cluster. Tasks run on a

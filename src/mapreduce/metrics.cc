@@ -84,12 +84,9 @@ std::string JobMetrics::ToString() const {
       static_cast<long long>(spill_bytes),
       static_cast<long long>(output_records), ReducerImbalance());
   std::string out = buf;
-  if (spill_bytes_uncompressed > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " spill_raw=%lld B wire=%lld B (raw %lld B)",
-                  static_cast<long long>(spill_bytes_uncompressed),
-                  static_cast<long long>(shuffle_bytes_compressed),
-                  static_cast<long long>(shuffle_bytes_uncompressed));
+  if (spill_bytes > 0) {
+    std::snprintf(buf, sizeof(buf), " wire=%lld B",
+                  static_cast<long long>(shuffle_bytes_compressed));
     out += buf;
   }
   if (task_retries > 0 || workers_crashed > 0 ||
@@ -178,25 +175,9 @@ int64_t RunMetrics::ShuffleBytesCompressed() const {
   return total;
 }
 
-int64_t RunMetrics::ShuffleBytesUncompressed() const {
-  int64_t total = 0;
-  for (const JobMetrics& round : rounds) {
-    total += round.shuffle_bytes_uncompressed;
-  }
-  return total;
-}
-
 int64_t RunMetrics::SpillBytes() const {
   int64_t total = 0;
   for (const JobMetrics& round : rounds) total += round.spill_bytes;
-  return total;
-}
-
-int64_t RunMetrics::SpillBytesUncompressed() const {
-  int64_t total = 0;
-  for (const JobMetrics& round : rounds) {
-    total += round.spill_bytes_uncompressed;
-  }
   return total;
 }
 

@@ -48,17 +48,11 @@ struct JobMetrics {
   /// These are the bytes actually on disk — delta/varint-encoded per
   /// docs/INTERNALS.md §13.
   int64_t spill_bytes = 0;
-  /// What the same spilled records would have occupied in the legacy
-  /// fixed-frame format; always >= spill_bytes. Zero when nothing spilled.
-  int64_t spill_bytes_uncompressed = 0;
   /// Bytes that actually cross the (simulated) wire per reducer: in-memory
   /// segment payloads plus the on-disk (compressed) bytes of spilled runs.
   /// shuffle_bytes/reducer_input_bytes stay payload-denominated so record
   /// accounting and scheduling are encoding-independent.
   int64_t shuffle_bytes_compressed = 0;
-  /// The wire bytes the legacy spill format would have shipped; equals
-  /// shuffle_bytes_compressed when nothing spilled.
-  int64_t shuffle_bytes_uncompressed = 0;
 
   std::vector<int64_t> reducer_input_records;
   std::vector<int64_t> reducer_input_bytes;
@@ -151,9 +145,7 @@ struct RunMetrics {
   int64_t MapOutputBytes() const;
   int64_t ShuffleBytes() const;
   int64_t ShuffleBytesCompressed() const;
-  int64_t ShuffleBytesUncompressed() const;
   int64_t SpillBytes() const;
-  int64_t SpillBytesUncompressed() const;
   int64_t OutputRecords() const;
 
   // Fault-tolerance totals over all rounds.

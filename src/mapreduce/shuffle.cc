@@ -12,26 +12,6 @@
 
 namespace spcube {
 
-namespace {
-
-/// Bytes of a LEB128 varint for `v`.
-int64_t VarintLen(uint64_t v) {
-  int64_t len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-}  // namespace
-
-int64_t LegacySpillRecordFileBytes(size_t key_len, size_t value_len) {
-  return static_cast<int64_t>(sizeof(uint64_t) + sizeof(uint32_t)) +
-         VarintLen(key_len) + static_cast<int64_t>(key_len) +
-         VarintLen(value_len) + static_cast<int64_t>(value_len);
-}
-
 void SpillRecordEncoder::Append(std::string_view key, std::string_view value,
                                 ByteWriter* out) {
   size_t shared = 0;
@@ -112,10 +92,7 @@ void SortRefs(const std::vector<ShuffleRecordRef>& refs,
 }
 
 /// Streams refs in `order` as one spill run, delta-encoding records into
-/// §13 blocks through the caller's reusable encoder. The uncompressed twin
-/// (what the run would have cost in the legacy format) is accounted
-/// alongside the real file bytes so the compression win is measured, not
-/// assumed.
+/// §13 blocks through the caller's reusable encoder.
 Result<RunInfo> WriteSortedRun(const std::vector<ShuffleRecordRef>& refs,
                                const std::vector<ShuffleSortItem>& order,
                                TempFileManager* temp_files,
@@ -133,8 +110,6 @@ Result<RunInfo> WriteSortedRun(const std::vector<ShuffleRecordRef>& refs,
       encoder->NextBlock();
     }
     info.payload_bytes += RecordBytes(ref.key(), ref.value());
-    info.uncompressed_file_bytes +=
-        LegacySpillRecordFileBytes(ref.key().size(), ref.value().size());
   }
   if (!encoder->BlockEmpty()) {
     SPCUBE_RETURN_IF_ERROR(writer.Append(encoder->block()));
@@ -143,7 +118,6 @@ Result<RunInfo> WriteSortedRun(const std::vector<ShuffleRecordRef>& refs,
   SPCUBE_RETURN_IF_ERROR(writer.Close());
   if (counters != nullptr) {
     counters->spill_bytes += writer.bytes_written();
-    counters->spill_bytes_uncompressed += info.uncompressed_file_bytes;
   }
   info.path = writer.path();
   info.file_bytes = writer.bytes_written();
@@ -151,20 +125,41 @@ Result<RunInfo> WriteSortedRun(const std::vector<ShuffleRecordRef>& refs,
   return info;
 }
 
-void AppendRecordEntries(const std::vector<Record>& records,
-                         const std::vector<ShuffleSegment>& segments,
-                         std::vector<ShuffleRecordRef>* entries) {
-  for (const Record& record : records) {
-    entries->push_back(ShuffleRecordRef{
-        record.key.data(), record.value.data(),
-        static_cast<uint32_t>(record.key.size()),
-        static_cast<uint32_t>(record.value.size())});
-  }
+void AppendSegmentEntries(const std::vector<ShuffleSegment>& segments,
+                          std::vector<ShuffleRecordRef>* entries) {
   for (const ShuffleSegment& segment : segments) {
     for (const ShuffleRecordRef& ref : segment.refs()) {
       entries->push_back(ref);
     }
   }
+}
+
+/// Reads one sorted run into `arena`, decoding each fetched block's key
+/// deltas incrementally, and appends a ref per record to `entries`.
+Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
+                 int64_t* mismatch_counter, Arena* arena,
+                 std::vector<ShuffleRecordRef>* entries) {
+  SpillReader reader(run.path);
+  SPCUBE_RETURN_IF_ERROR(reader.Open());
+  reader.SetFaultInjection(injector, mismatch_counter, run.resource);
+  SpillBlockDecoder decoder;
+  std::string raw;
+  for (;;) {
+    SPCUBE_ASSIGN_OR_RETURN(bool more, reader.Next(&raw));
+    if (!more) break;
+    decoder.SetBlock(raw);
+    for (;;) {
+      std::string_view key;
+      std::string_view value;
+      SPCUBE_ASSIGN_OR_RETURN(bool record, decoder.Next(&key, &value));
+      if (!record) break;
+      const char* data = arena->AppendPair(key, value);
+      entries->push_back(ShuffleRecordRef{
+          data, data + key.size(), static_cast<uint32_t>(key.size()),
+          static_cast<uint32_t>(value.size())});
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -334,20 +329,6 @@ void DebugExpireSegment(ShuffleSegment* segment) {
 
 }  // namespace internal
 
-std::vector<Record> ShuffleBuffer::TakeMemoryRecords(int partition) {
-  PartitionState& part = partitions_[static_cast<size_t>(partition)];
-  scratch_refs_.clear();
-  AppendRecordRefs(part, &scratch_refs_);
-  std::vector<Record> out;
-  out.reserve(scratch_refs_.size());
-  for (const ShuffleRecordRef& ref : scratch_refs_) {
-    // spcube-lint: allow(no-owning-copy-in-hot-path): compatibility accessor whose contract is to materialize owned Records
-    out.push_back(Record{std::string(ref.key()), std::string(ref.value())});
-  }
-  ResetPartition(&part);
-  return out;
-}
-
 std::vector<RunInfo> ShuffleBuffer::TakeSpillRuns(int partition) {
   // Explicitly leave the slot empty so the destructor does not delete runs
   // whose ownership moved to the shuffle.
@@ -465,38 +446,16 @@ namespace {
 /// through a sorted index — no per-record Record materialization.
 class InMemoryGroupedStream : public GroupedRecordStream {
  public:
-  InMemoryGroupedStream(std::vector<Record> records,
-                        std::vector<ShuffleSegment> segments)
-      : records_(std::move(records)), segments_(std::move(segments)) {
-    AppendRecordEntries(records_, segments_, &entries_);
+  explicit InMemoryGroupedStream(std::vector<ShuffleSegment> segments)
+      : segments_(std::move(segments)) {
+    AppendSegmentEntries(segments_, &entries_);
   }
 
-  /// Reads one sorted run into the stream-private arena, decoding each
-  /// fetched block's key deltas incrementally (one decoder per run). Call
-  /// before Seal.
+  /// Reads one sorted run into the stream-private arena. Call before Seal.
   Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
                    int64_t* mismatch_counter) {
-    SpillReader reader(run.path);
-    SPCUBE_RETURN_IF_ERROR(reader.Open());
-    reader.SetFaultInjection(injector, mismatch_counter, run.resource);
-    SpillBlockDecoder decoder;
-    std::string raw;
-    for (;;) {
-      SPCUBE_ASSIGN_OR_RETURN(bool more, reader.Next(&raw));
-      if (!more) break;
-      decoder.SetBlock(raw);
-      for (;;) {
-        std::string_view key;
-        std::string_view value;
-        SPCUBE_ASSIGN_OR_RETURN(bool record, decoder.Next(&key, &value));
-        if (!record) break;
-        const char* data = absorbed_.AppendPair(key, value);
-        entries_.push_back(ShuffleRecordRef{
-            data, data + key.size(), static_cast<uint32_t>(key.size()),
-            static_cast<uint32_t>(value.size())});
-      }
-    }
-    return Status::OK();
+    return spcube::AbsorbRun(run, injector, mismatch_counter, &absorbed_,
+                             &entries_);
   }
 
   /// Builds the sorted iteration order; call once after the last AbsorbRun.
@@ -528,10 +487,9 @@ class InMemoryGroupedStream : public GroupedRecordStream {
     return entries_[order_[sorted_pos].index].key();
   }
 
-  std::vector<Record> records_;          // owns bytes for direct inputs
   std::vector<ShuffleSegment> segments_; // owns bytes for map-side segments
   Arena absorbed_;                       // owns bytes for absorbed runs
-  // spcube-analyzer: allow(view-escape): entries_ point into records_/segments_/absorbed_, all owned by this same stream
+  // spcube-analyzer: allow(view-escape): entries_ point into segments_/absorbed_, both owned by this same stream
   std::vector<ShuffleRecordRef> entries_;
   std::vector<ShuffleSortItem> order_;
   size_t pos_ = 0;
@@ -687,7 +645,7 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     // Small enough to run in memory; absorb any runs into the stream's
     // private arena and sort everything together.
     auto stream = std::make_unique<InMemoryGroupedStream>(
-        std::move(input.memory_records), std::move(input.memory_segments));
+        std::move(input.memory_segments));
     for (const RunInfo& run : input.spill_runs) {
       SPCUBE_RETURN_IF_ERROR(
           stream->AbsorbRun(run, injector, mismatch_counter));
@@ -707,8 +665,7 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     run_resources.push_back(run.resource);
   }
   std::vector<ShuffleRecordRef> memory_refs;
-  AppendRecordEntries(input.memory_records, input.memory_segments,
-                      &memory_refs);
+  AppendSegmentEntries(input.memory_segments, &memory_refs);
   if (!memory_refs.empty()) {
     std::vector<ShuffleSortItem> order;
     SortRefs(memory_refs, &order);
@@ -738,32 +695,14 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
   // Gather every record as refs: in-memory sources directly, spill runs
   // parsed into a local arena. Records are scattered, not merged, so source
   // order does not affect correctness — but the global ordinal feeding the
-  // scatter hash must be stable, and it is: memory records, then segments,
-  // then runs, all in their stored order.
+  // scatter hash must be stable, and it is: segments, then runs, all in
+  // their stored order.
   std::vector<ShuffleRecordRef> entries;
   Arena absorbed;
-  AppendRecordEntries(input.memory_records, input.memory_segments, &entries);
+  AppendSegmentEntries(input.memory_segments, &entries);
   for (const RunInfo& run : input.spill_runs) {
-    SpillReader reader(run.path);
-    SPCUBE_RETURN_IF_ERROR(reader.Open());
-    reader.SetFaultInjection(injector, mismatch_counter, run.resource);
-    SpillBlockDecoder decoder;
-    std::string raw;
-    for (;;) {
-      SPCUBE_ASSIGN_OR_RETURN(bool more, reader.Next(&raw));
-      if (!more) break;
-      decoder.SetBlock(raw);
-      for (;;) {
-        std::string_view key;
-        std::string_view value;
-        SPCUBE_ASSIGN_OR_RETURN(bool record, decoder.Next(&key, &value));
-        if (!record) break;
-        const char* data = absorbed.AppendPair(key, value);
-        entries.push_back(ShuffleRecordRef{
-            data, data + key.size(), static_cast<uint32_t>(key.size()),
-            static_cast<uint32_t>(value.size())});
-      }
-    }
+    SPCUBE_RETURN_IF_ERROR(
+        AbsorbRun(run, injector, mismatch_counter, &absorbed, &entries));
   }
   // Salted scatter over (key, ordinal). Including the ordinal is what lets
   // one oversized group shrink: its records spread across every sub-input

@@ -28,10 +28,8 @@ namespace internal {
 void DebugExpireSegment(ShuffleSegment* segment);
 }  // namespace internal
 
-/// A sorted run file spilled to local disk, with its on-disk size, the
-/// payload (key+value) bytes it carries, and the bytes the same records
-/// would occupy in the pre-§13 fixed-frame format — the honest uncompressed
-/// twin for traffic accounting.
+/// A sorted run file spilled to local disk, with its on-disk size and the
+/// payload (key+value) bytes it carries.
 struct RunInfo {
   std::string path;
   /// Stable logical identity (job/task/attempt/partition/run) used for
@@ -41,10 +39,6 @@ struct RunInfo {
   std::string resource;
   int64_t file_bytes = 0;
   int64_t payload_bytes = 0;
-  /// File bytes the run would occupy in the legacy encoding ([u64 len]
-  /// [u32 crc] frames around non-delta payloads); see
-  /// LegacySpillRecordFileBytes. Always >= file_bytes.
-  int64_t uncompressed_file_bytes = 0;
   int64_t records = 0;
 };
 
@@ -56,17 +50,9 @@ struct ShuffleCounters {
   int64_t combine_input_records = 0;
   int64_t combine_output_records = 0;
   int64_t spill_bytes = 0;
-  /// What spill_bytes would have been in the legacy (pre-delta, fixed
-  /// frame) run format — the uncompressed twin of spill_bytes.
-  int64_t spill_bytes_uncompressed = 0;
   /// Fetches whose payload failed its CRC32C and was re-fetched.
   int64_t checksum_mismatches = 0;
 };
-
-/// On-disk bytes one record costs in the legacy spill format: an 8-byte
-/// length + 4-byte CRC frame around `[varint key_len | key | varint
-/// value_len | value]`. The uncompressed-twin accounting unit (§13).
-int64_t LegacySpillRecordFileBytes(size_t key_len, size_t value_len);
 
 /// Stateful spill-run record codec (docs/INTERNALS.md §13). Runs are
 /// written in key order, so adjacent records share key prefixes; each
@@ -257,13 +243,10 @@ class ShuffleSegment {
 ///    then emission order — equivalent to a stable sort by key) and stream
 ///    the run straight from arena bytes through the CRC32C spill writer.
 ///
-/// Counter semantics and the Take* contracts are identical to the original
-/// Record-based implementation; see docs/INTERNALS.md §9 for what
-/// `buffered_bytes_` counts under the arena. Spill runs are written in the
-/// §13 delta/varint format, with the legacy-format cost accounted as the
-/// uncompressed twin (RunInfo::uncompressed_file_bytes) — spill *decisions*
-/// (when to overflow, what to combine) depend only on payload bytes, so the
-/// spill schedule is unchanged from the seed.
+/// See docs/INTERNALS.md §9 for what `buffered_bytes_` counts under the
+/// arena. Spill runs are written in the §13 delta/varint format; spill
+/// *decisions* (when to overflow, what to combine) depend only on payload
+/// bytes, never on the encoding.
 class ShuffleBuffer {
  public:
   /// `combiner` may be null. `temp_files` outlives the buffer.
@@ -297,14 +280,8 @@ class ShuffleBuffer {
   Status FinalizeMapOutput();
 
   /// Moves out a partition's surviving in-memory records together with the
-  /// arena that owns their bytes — the zero-copy path the engine uses.
+  /// arena that owns their bytes; each call empties the partition.
   ShuffleSegment TakeMemorySegment(int partition);
-
-  /// Materializes the surviving in-memory records of a partition as owned
-  /// Records (compatibility accessor; prefer TakeMemorySegment). Same
-  /// records in the same order as TakeMemorySegment; each call empties the
-  /// partition.
-  std::vector<Record> TakeMemoryRecords(int partition);
 
   /// Sorted run files spilled for a partition.
   std::vector<RunInfo> TakeSpillRuns(int partition);
@@ -406,11 +383,9 @@ class GroupedRecordStream {
   virtual Result<bool> NextValue(std::string* value) = 0;
 };
 
-/// Inputs for building a reduce-side stream. `memory_records` and
-/// `memory_segments` are both unsorted in-memory sources (records first in
-/// the canonical ordering); the engine uses segments, tests may use either.
+/// Inputs for building a reduce-side stream. `memory_segments` are unsorted
+/// in-memory sources.
 struct ReduceInput {
-  std::vector<Record> memory_records;
   std::vector<ShuffleSegment> memory_segments;
   std::vector<RunInfo> spill_runs;  // each sorted by key
   int64_t total_bytes = 0;          // payload bytes across all sources

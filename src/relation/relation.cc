@@ -1,13 +1,10 @@
 #include "relation/relation.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace spcube {
 
 void Relation::AppendRow(std::span<const int64_t> dims, int64_t measure) {
-  SPCUBE_CHECK(!encoded_) << "AppendRow on a dictionary-encoded relation";
   SPCUBE_DCHECK(static_cast<int>(dims.size()) == num_dims())
       << "row arity mismatch: got " << dims.size() << ", schema has "
       << num_dims();
@@ -19,7 +16,6 @@ void Relation::AppendRow(std::span<const int64_t> dims, int64_t measure) {
 }
 
 void Relation::AppendRow(RowRef row, int64_t measure) {
-  SPCUBE_CHECK(!encoded_) << "AppendRow on a dictionary-encoded relation";
   SPCUBE_DCHECK(static_cast<int>(row.size()) == num_dims())
       << "row arity mismatch: got " << row.size() << ", schema has "
       << num_dims();
@@ -28,75 +24,6 @@ void Relation::AppendRow(RowRef row, int64_t measure) {
   }
   measures_.push_back(measure);
   lifetime_epoch_ += 1;
-}
-
-void Relation::DictionaryEncode() {
-  if (encoded_) return;
-  dims_.assign(cols_.size(), DimColumn{});
-  const size_t rows = measures_.size();
-  for (size_t d = 0; d < cols_.size(); ++d) {
-    std::vector<int64_t>& raw = cols_[d];
-    DimColumn& col = dims_[d];
-
-    std::vector<int64_t> dict(raw.begin(), raw.end());
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-    if (dict.size() > (size_t{1} << 32)) {
-      // Cardinality exceeds u32 codes: keep the raw column (code_width 8).
-      continue;
-    }
-    col.dict = std::move(dict);
-
-    const size_t card = col.dict.size();
-    col.code_width = card <= (size_t{1} << 8)    ? 1
-                     : card <= (size_t{1} << 16) ? 2
-                                                 : 4;
-    const auto code_of = [&col](int64_t v) {
-      return static_cast<size_t>(
-          std::lower_bound(col.dict.begin(), col.dict.end(), v) -
-          col.dict.begin());
-    };
-    switch (col.code_width) {
-      case 1:
-        col.codes8.reserve(rows);
-        for (int64_t v : raw) {
-          col.codes8.push_back(static_cast<uint8_t>(code_of(v)));
-        }
-        break;
-      case 2:
-        col.codes16.reserve(rows);
-        for (int64_t v : raw) {
-          col.codes16.push_back(static_cast<uint16_t>(code_of(v)));
-        }
-        break;
-      default:
-        col.codes32.reserve(rows);
-        for (int64_t v : raw) {
-          col.codes32.push_back(static_cast<uint32_t>(code_of(v)));
-        }
-        break;
-    }
-    std::vector<int64_t>().swap(raw);  // release the plain column
-  }
-  encoded_ = true;
-  // Encoding moves the backing storage, so outstanding borrows (views,
-  // column spans) are as suspect as after an append.
-  lifetime_epoch_ += 1;
-}
-
-int64_t Relation::PhysicalByteSize() const {
-  int64_t bytes =
-      static_cast<int64_t>(measures_.size()) * static_cast<int64_t>(sizeof(int64_t));
-  for (const std::vector<int64_t>& col : cols_) {
-    bytes += static_cast<int64_t>(col.size() * sizeof(int64_t));
-  }
-  for (const DimColumn& col : dims_) {
-    bytes += static_cast<int64_t>(col.dict.size() * sizeof(int64_t));
-    bytes += static_cast<int64_t>(col.codes8.size());
-    bytes += static_cast<int64_t>(col.codes16.size() * sizeof(uint16_t));
-    bytes += static_cast<int64_t>(col.codes32.size() * sizeof(uint32_t));
-  }
-  return bytes;
 }
 
 }  // namespace spcube

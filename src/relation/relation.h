@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/status.h"
 #include "relation/schema.h"
 
@@ -24,22 +23,14 @@ concept TupleLike = requires(const T& t, int d) {
   { t.size() } -> std::convertible_to<size_t>;
 };
 
-/// A columnar (struct-of-arrays), dictionary-encodable fact table: one
-/// contiguous array per dimension plus the measure column. Dimension values
-/// are stored as int64 codes (use Dictionary to map strings); the measure is
-/// an int64. Rows are append-only; the MapReduce engine hands each mapper a
-/// non-owning RelationView over a contiguous row range, mirroring equal HDFS
-/// input splits (paper §2.3). The columnar layout makes per-dimension scans
-/// (BUC partitioning, cuboid projections) read contiguous memory instead of
+/// A columnar (struct-of-arrays) fact table: one contiguous array per
+/// dimension plus the measure column. Dimension values are stored as int64
+/// codes (use Dictionary to map strings); the measure is an int64. Rows are
+/// append-only; the MapReduce engine hands each mapper a non-owning
+/// RelationView over a contiguous row range, mirroring equal HDFS input
+/// splits (paper §2.3). The columnar layout makes per-dimension scans (BUC
+/// partitioning, cuboid projections) read contiguous memory instead of
 /// striding across row-major tuples.
-///
-/// DictionaryEncode() freezes the relation and re-stores each dimension as
-/// a sorted per-column dictionary plus a narrow (u8/u16/u32 by cardinality)
-/// code array (docs/INTERNALS.md §13). Codes are order-preserving, so
-/// equality/order scans run on the codes; dim()/RowRef decode through the
-/// dictionary, which keeps every wire byte (group keys, shuffled tuples)
-/// and every modeled metric bit-identical to the plain representation —
-/// only the physical footprint and cache behavior change.
 class Relation {
  public:
   explicit Relation(Schema schema)
@@ -77,8 +68,7 @@ class Relation {
     int64_t row_;
   };
 
-  /// Appends a row; `dims.size()` must equal num_dims(). Appending to a
-  /// dictionary-encoded relation aborts (the relation is frozen).
+  /// Appends a row; `dims.size()` must equal num_dims().
   void AppendRow(std::span<const int64_t> dims, int64_t measure);
 
   /// Appends a borrowed row of another relation — a deliberate
@@ -90,16 +80,7 @@ class Relation {
   RowRef row(int64_t r) const { return RowRef(this, r); }
 
   int64_t dim(int64_t r, int d) const {
-    const size_t dd = static_cast<size_t>(d);
-    const size_t i = static_cast<size_t>(r);
-    if (!encoded_) return cols_[dd][i];
-    const DimColumn& col = dims_[dd];
-    switch (col.code_width) {
-      case 1: return col.dict[col.codes8[i]];
-      case 2: return col.dict[col.codes16[i]];
-      case 4: return col.dict[col.codes32[i]];
-      default: return cols_[dd][i];  // raw fallback kept the plain column
-    }
+    return cols_[static_cast<size_t>(d)][static_cast<size_t>(r)];
   }
 
   int64_t measure(int64_t r) const {
@@ -107,73 +88,10 @@ class Relation {
   }
 
   /// One dimension's values for all rows, contiguous in memory — the unit
-  /// of columnar scans (BUC partitioning, cardinality sampling). Only valid
-  /// on plain relations: once DictionaryEncode() has replaced a column with
-  /// codes there is no int64 array to span — scan below serves both forms.
+  /// of columnar scans (BUC partitioning, PipeSort ordering, cardinality
+  /// sampling).
   std::span<const int64_t> column(int d) const {
-    SPCUBE_DCHECK(!encoded_ ||
-                  dims_[static_cast<size_t>(d)].code_width == 8)
-        << "column() on a dictionary-encoded dimension; use scan()";
     return cols_[static_cast<size_t>(d)];
-  }
-
-  /// Width-tagged zero-copy cursor over one dimension's *stored* values:
-  /// dictionary codes when encoded, raw int64 values otherwise. The
-  /// dictionary is sorted, so codes are order-preserving — comparisons and
-  /// equality over scan values agree with the decoded values, which is all
-  /// BUC partitioning and PipeSort ordering need. Borrowed like a column
-  /// span: valid only while the relation outlives it and is not mutated.
-  class ColumnScan {
-   public:
-    int64_t operator[](size_t i) const {
-      switch (width_) {
-        case 1: return static_cast<const uint8_t*>(data_)[i];
-        case 2: return static_cast<const uint16_t*>(data_)[i];
-        case 4: return static_cast<const uint32_t*>(data_)[i];
-        default: return static_cast<const int64_t*>(data_)[i];
-      }
-    }
-
-   private:
-    friend class Relation;
-    ColumnScan(const void* data, uint8_t width)
-        : data_(data), width_(width) {}
-
-    // spcube-analyzer: allow(view-escape): ColumnScan is a borrow like a column span; callers keep the relation alive for the scan's (stack) lifetime
-    const void* data_;
-    uint8_t width_;
-  };
-
-  ColumnScan scan(int d) const {
-    const size_t dd = static_cast<size_t>(d);
-    if (encoded_) {
-      const DimColumn& col = dims_[dd];
-      switch (col.code_width) {
-        case 1: return ColumnScan(col.codes8.data(), 1);
-        case 2: return ColumnScan(col.codes16.data(), 2);
-        case 4: return ColumnScan(col.codes32.data(), 4);
-        default: break;
-      }
-    }
-    return ColumnScan(cols_[dd].data(), 8);
-  }
-
-  /// Freezes the relation and dictionary-encodes every dimension column:
-  /// sorted unique values per dimension, plus a code array whose width is
-  /// picked by cardinality (u8 <= 256 distinct, u16 <= 65536, u32 beyond;
-  /// a dimension too wide for u32 codes keeps its raw column). The plain
-  /// int64 columns are freed. Appends abort afterwards, and the lifetime
-  /// epoch is bumped — outstanding views and column spans are invalidated
-  /// exactly as by an append. Idempotent.
-  void DictionaryEncode();
-
-  bool dictionary_encoded() const { return encoded_; }
-
-  /// Sorted distinct values of an encoded dimension (empty for plain
-  /// relations and raw-fallback dimensions).
-  std::span<const int64_t> dictionary(int d) const {
-    if (!encoded_) return {};
-    return dims_[static_cast<size_t>(d)].dict;
   }
 
   std::span<const int64_t> measures() const { return measures_; }
@@ -185,39 +103,18 @@ class Relation {
   /// Maintained unconditionally so mixed-TU builds agree on layout.
   uint64_t lifetime_epoch() const { return lifetime_epoch_; }
 
-  /// Logical tuple footprint in bytes (used for the memory model):
+  /// Tuple footprint in bytes (used for the memory model):
   /// num_rows * (num_dims + 1) int64s, identical to the row-major layout.
-  /// Deliberately independent of dictionary encoding — the paper's m is a
-  /// budget on tuple data, and modeled spill/memory schedules must be
-  /// bit-identical between plain and encoded representations.
   int64_t ByteSize() const {
     return num_rows() * static_cast<int64_t>(num_dims() + 1) *
            static_cast<int64_t>(sizeof(int64_t));
   }
 
-  /// Actual in-memory bytes of the current representation: raw columns and
-  /// measures at 8 bytes per cell, plus dictionaries and narrow code arrays
-  /// when encoded. Equals ByteSize() for plain relations.
-  int64_t PhysicalByteSize() const;
-
  private:
-  /// One dictionary-encoded dimension: sorted distinct values plus a code
-  /// array in exactly one of the width-specific vectors (selected by
-  /// code_width; 8 means raw fallback — the plain column was kept).
-  struct DimColumn {
-    std::vector<int64_t> dict;
-    std::vector<uint8_t> codes8;
-    std::vector<uint16_t> codes16;
-    std::vector<uint32_t> codes32;
-    uint8_t code_width = 8;
-  };
-
   Schema schema_;
   std::vector<std::vector<int64_t>> cols_;  // one contiguous array per dim
-  std::vector<DimColumn> dims_;             // filled by DictionaryEncode
   std::vector<int64_t> measures_;           // one per row
   uint64_t lifetime_epoch_ = 0;             // see lifetime_epoch()
-  bool encoded_ = false;                    // see DictionaryEncode
 };
 
 }  // namespace spcube

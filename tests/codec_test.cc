@@ -1,8 +1,7 @@
-// Property tests for the compression codecs of docs/INTERNALS.md §13:
-// varint/zigzag primitives at integer extremes, the delta spill-record
-// codec over adversarial key sequences, and the BlockCodec LZ format
-// (round-trip, stored fallback, determinism, corruption rejection).
-// All randomness flows through seeded spcube::Rng.
+// Property tests for the spill codec of docs/INTERNALS.md §13:
+// varint/zigzag primitives at integer extremes and the delta spill-record
+// codec over adversarial key sequences. All randomness flows through
+// seeded spcube::Rng.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/block_codec.h"
 #include "common/bytes.h"
 #include "common/random.h"
 #include "mapreduce/shuffle.h"
@@ -222,10 +220,19 @@ TEST(DeltaCodecTest, UnsortedRandomRecordsRoundTrip) {
   }
 }
 
+// On-disk bytes of one record in the fixed-frame spill format the delta
+// codec replaced: an 8-byte length and a 4-byte CRC around
+// [varint key_len | key | varint value_len | value].
+int64_t FixedFrameRecordBytes(size_t key_len, size_t value_len) {
+  ByteWriter varints;
+  varints.PutVarint(key_len);
+  varints.PutVarint(value_len);
+  return 8 + 4 + static_cast<int64_t>(varints.size() + key_len + value_len);
+}
+
 TEST(DeltaCodecTest, FileBytesNeverExceedLegacyTwin) {
-  // LegacySpillRecordFileBytes is the uncompressed-twin denominator the
-  // engine reports; the §13 guarantee is compressed <= uncompressed for
-  // every record, so totals can never cross.
+  // The §13 guarantee: a delta-coded record never costs more on disk than
+  // the same record in the fixed-frame format, so run files cannot grow.
   Rng rng(74);
   SpillRecordEncoder encoder;
   ByteWriter out;
@@ -237,142 +244,29 @@ TEST(DeltaCodecTest, FileBytesNeverExceedLegacyTwin) {
     // Actual frame: varint(len) + u32 crc + payload.
     int64_t frame = 1 + 4 + static_cast<int64_t>(out.size());
     if (out.size() >= 128) frame += 1;
-    EXPECT_LE(frame, LegacySpillRecordFileBytes(key.size(), value.size()));
+    EXPECT_LE(frame, FixedFrameRecordBytes(key.size(), value.size()));
   }
 }
 
-// ---------------------------------------------------------------------------
-// BlockCodec (LZ with stored fallback).
-// ---------------------------------------------------------------------------
-
-TEST(BlockCodecTest, RoundTripsRepresentativeInputs) {
-  Rng rng(81);
-  std::vector<std::string> inputs;
-  inputs.push_back("");                          // empty
-  inputs.push_back("abc");                       // below kMinMatch
-  inputs.push_back(std::string(100000, 'z'));    // max-RLE
-  {
-    // Sorted cube-output-like bytes: repeated prefixes, varint tails.
-    ByteWriter writer;
-    for (int i = 0; i < 20000; ++i) {
-      writer.PutBytes("group_key_prefix|" + std::to_string(i / 16));
-      writer.PutVarintSigned(rng.NextInRange(-1000, 1000));
+TEST(SpillCodecTest, DeltaNeverExceedsLegacyFileBytes) {
+  // The same bound over many short record sequences, sorted or not: frame
+  // (varint length + u32 crc) plus delta payload never exceeds the
+  // fixed-frame cost.
+  Rng rng(193);
+  for (int trial = 0; trial < 50; ++trial) {
+    SpillRecordEncoder encoder;
+    ByteWriter out;
+    for (int i = 0; i < 20; ++i) {
+      const std::string key = RandomKey(rng, 64);
+      const std::string value = RandomKey(rng, 64);
+      out.Clear();
+      encoder.Append(key, value, &out);
+      // Frame: <= 2 varint bytes for any payload this size, + 4 crc bytes.
+      const int64_t framed =
+          static_cast<int64_t>((out.size() < 128 ? 1 : 2) + 4 + out.size());
+      EXPECT_LE(framed, FixedFrameRecordBytes(key.size(), value.size()))
+          << "key_len=" << key.size() << " value_len=" << value.size();
     }
-    inputs.push_back(writer.TakeData());
-  }
-  {
-    // Incompressible: uniform random bytes must survive via stored blocks.
-    std::string noise(65536, '\0');
-    for (char& c : noise) c = static_cast<char>(rng.NextBounded(256));
-    inputs.push_back(std::move(noise));
-  }
-  for (const std::string& input : inputs) {
-    std::string compressed;
-    BlockCodec::Compress(input, &compressed);
-    // Never more than the stored header over the raw size.
-    EXPECT_LE(compressed.size(), input.size() + 11);
-    auto decoded_size = BlockCodec::DecodedSize(compressed);
-    ASSERT_TRUE(decoded_size.ok());
-    EXPECT_EQ(static_cast<size_t>(*decoded_size), input.size());
-    std::string back;
-    ASSERT_TRUE(BlockCodec::Decompress(compressed, &back).ok());
-    EXPECT_EQ(back, input);
-  }
-}
-
-TEST(BlockCodecTest, CompressesRedundantStreamsWell) {
-  // The honesty gate behind BENCH_compression's DFS rows: sorted, highly
-  // repetitive streams must shrink at least 2x.
-  ByteWriter writer;
-  for (int i = 0; i < 50000; ++i) {
-    writer.PutBytes("hot_group_key_" + std::to_string(i % 50));
-    writer.PutVarintSigned(i % 100);
-  }
-  const std::string input = writer.TakeData();
-  std::string compressed;
-  BlockCodec::Compress(input, &compressed);
-  EXPECT_LT(compressed.size() * 2, input.size());
-}
-
-TEST(BlockCodecTest, DeterministicAcrossCalls) {
-  // The simulation's byte metrics must be reproducible: same input, same
-  // compressed bytes, every time.
-  Rng rng(82);
-  ByteWriter writer;
-  for (int i = 0; i < 10000; ++i) {
-    writer.PutVarintSigned(rng.NextInRange(-500, 500));
-  }
-  const std::string input = writer.TakeData();
-  std::string first;
-  std::string second;
-  BlockCodec::Compress(input, &first);
-  BlockCodec::Compress(input, &second);
-  EXPECT_EQ(first, second);
-}
-
-TEST(BlockCodecTest, RejectsTruncationAndGarbage) {
-  ByteWriter writer;
-  for (int i = 0; i < 5000; ++i) {
-    writer.PutBytes("payload_" + std::to_string(i % 7));
-  }
-  const std::string input = writer.TakeData();
-  std::string compressed;
-  BlockCodec::Compress(input, &compressed);
-  ASSERT_GT(compressed.size(), 2u);
-
-  std::string out;
-  // Every strict prefix must be rejected, not crash or return short data.
-  for (size_t len = 0; len < compressed.size(); len += 7) {
-    EXPECT_FALSE(
-        BlockCodec::Decompress(compressed.substr(0, len), &out).ok())
-        << "prefix " << len;
-  }
-  // Unknown method byte.
-  std::string bogus = compressed;
-  bogus[0] = '\x7f';
-  EXPECT_FALSE(BlockCodec::Decompress(bogus, &out).ok());
-  EXPECT_FALSE(BlockCodec::DecodedSize(bogus).ok());
-  // Trailing garbage after a valid stream.
-  std::string padded = compressed;
-  padded.push_back('\0');
-  EXPECT_FALSE(BlockCodec::Decompress(padded, &out).ok());
-}
-
-TEST(BlockCodecTest, SeededFuzzRoundTrip) {
-  // Structured random inputs across sizes: mixtures of runs, copies of
-  // earlier windows, and noise — the shapes real blobs are made of.
-  Rng rng(83);
-  for (int trial = 0; trial < 60; ++trial) {
-    std::string input;
-    const int pieces = 1 + static_cast<int>(rng.NextBounded(20));
-    for (int p = 0; p < pieces; ++p) {
-      switch (rng.NextBounded(3)) {
-        case 0:  // run
-          input.append(rng.NextBounded(500),
-                       static_cast<char>(rng.NextBounded(256)));
-          break;
-        case 1: {  // copy an earlier slice (self-similarity)
-          if (input.empty()) break;
-          const size_t start = rng.NextBounded(input.size());
-          const size_t len =
-              std::min(input.size() - start,
-                       static_cast<size_t>(rng.NextBounded(500)));
-          input.append(input, start, len);
-          break;
-        }
-        default:  // noise
-          for (uint64_t i = rng.NextBounded(200); i > 0; --i) {
-            input.push_back(static_cast<char>(rng.NextBounded(256)));
-          }
-          break;
-      }
-    }
-    std::string compressed;
-    BlockCodec::Compress(input, &compressed);
-    std::string back;
-    ASSERT_TRUE(BlockCodec::Decompress(compressed, &back).ok())
-        << "trial " << trial;
-    ASSERT_EQ(back, input) << "trial " << trial;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "core/sp_cube.h"
 #include "io/dfs.h"
@@ -83,15 +84,21 @@ TEST(CountersTest, ThreadedModeCountersIdentical) {
   EXPECT_EQ(metrics->custom_counters.at("rows_mapped"), 1000);
 }
 
+/// Map-task attempts counted per simulated machine. One machine's map task
+/// runs its attempts one after another, so slot `worker_id` holds that
+/// task's 0-based attempt index at any host thread count.
+using AttemptCounts = std::vector<std::atomic<int>>;
+
 /// Fails its first attempt AFTER incrementing counters; the failed
 /// attempt's counters must not leak into the totals.
 class FlakyCountingMapper : public Mapper {
  public:
-  explicit FlakyCountingMapper(std::shared_ptr<std::atomic<int>> attempts)
+  explicit FlakyCountingMapper(std::shared_ptr<AttemptCounts> attempts)
       : attempts_(std::move(attempts)) {}
 
-  Status Setup(const TaskContext&) override {
-    fail_ = attempts_->fetch_add(1) % 2 == 0;
+  Status Setup(const TaskContext& ctx) override {
+    fail_ =
+        (*attempts_)[static_cast<size_t>(ctx.worker_id)].fetch_add(1) == 0;
     return Status::OK();
   }
 
@@ -106,7 +113,7 @@ class FlakyCountingMapper : public Mapper {
   }
 
  private:
-  std::shared_ptr<std::atomic<int>> attempts_;
+  std::shared_ptr<AttemptCounts> attempts_;
   bool fail_ = false;
   int64_t rows_ = 0;
 };
@@ -115,7 +122,8 @@ TEST(CountersTest, FailedAttemptsDoNotContribute) {
   Relation rel = GenUniform(400, 1, 10, 153);
   DistributedFileSystem dfs;
   Engine engine(TestConfig(), &dfs);
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  auto attempts =
+      std::make_shared<AttemptCounts>(TestConfig().num_workers);
   JobSpec spec;
   spec.max_task_attempts = 2;
   spec.mapper_factory = [attempts] {

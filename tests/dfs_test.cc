@@ -6,7 +6,6 @@
 
 #include "io/dfs.h"
 #include "io/spill.h"
-#include "mapreduce/fault.h"
 
 namespace spcube {
 namespace {
@@ -51,86 +50,11 @@ TEST(DfsTest, ListAndTotalsByPrefix) {
   EXPECT_EQ(dfs.file_count(), 1);
 }
 
-// ---------------------------------------------------------------------------
-// Blob compression (docs/INTERNALS.md §13): under CRC32C, above fault
-// injection.
-// ---------------------------------------------------------------------------
-
-std::string RedundantBlob() {
-  std::string blob;
-  for (int i = 0; i < 4000; ++i) {
-    blob += "part-file-record-" + std::to_string(i % 40) + "|";
-  }
-  return blob;
-}
-
-TEST(DfsCompressionTest, CompressedBlobsRoundTripAndShrink) {
-  DistributedFileSystem dfs;
-  dfs.SetCompression(true);
-  const std::string blob = RedundantBlob();
-  ASSERT_TRUE(dfs.Write("out/part-0", blob).ok());
-  EXPECT_EQ(dfs.Read("out/part-0").value(), blob);
-  // Stored (modeled-cost) bytes shrink; logical bytes report the payload.
-  EXPECT_LT(dfs.TotalBytes(""), static_cast<int64_t>(blob.size()));
-  EXPECT_EQ(dfs.TotalLogicalBytes(""), static_cast<int64_t>(blob.size()));
-}
-
-TEST(DfsCompressionTest, TotalsAgreeWhenCompressionOff) {
-  DistributedFileSystem dfs;
-  ASSERT_TRUE(dfs.Write("x", "abcdef").ok());
-  EXPECT_EQ(dfs.TotalBytes(""), 6);
-  EXPECT_EQ(dfs.TotalLogicalBytes(""), 6);
-}
-
-TEST(DfsCompressionTest, AppendRecompressesAcrossSettingChanges) {
-  DistributedFileSystem dfs;
-  dfs.SetCompression(true);
-  const std::string half = RedundantBlob();
-  ASSERT_TRUE(dfs.Append("log", half).ok());
-  ASSERT_TRUE(dfs.Append("log", half).ok());
-  EXPECT_EQ(dfs.Read("log").value(), half + half);
-  // Turning compression off re-encodes the touched blob as plain bytes.
-  dfs.SetCompression(false);
-  ASSERT_TRUE(dfs.Append("log", "!").ok());
-  EXPECT_EQ(dfs.Read("log").value(), half + half + "!");
-  EXPECT_EQ(dfs.TotalBytes(""), dfs.TotalLogicalBytes(""));
-}
-
-TEST(DfsCompressionTest, VerifyChecksumSeesStoredBytes) {
+TEST(DfsTest, VerifyChecksumSeesStoredBytes) {
   DistributedFileSystem dfs;
   ASSERT_TRUE(dfs.Write("plain", "payload").ok());
-  dfs.SetCompression(true);
-  ASSERT_TRUE(dfs.Write("packed", RedundantBlob()).ok());
   EXPECT_TRUE(dfs.VerifyChecksum("plain").ok());
-  EXPECT_TRUE(dfs.VerifyChecksum("packed").ok());
   EXPECT_EQ(dfs.VerifyChecksum("missing").code(), StatusCode::kNotFound);
-}
-
-TEST(DfsCompressionTest, InFlightCorruptionIsReFetchedBeforeDecoding) {
-  // Compression sits above fault injection: corruption strikes the stored
-  // (compressed) bytes in flight, the checksum catches it, and the blob
-  // decodes only after an accepted fetch — so reads stay exact.
-  FaultConfig config;
-  config.seed = 99;
-  config.payload_corruption_rate = 0.6;
-  FaultPlan injector(config);
-  DistributedFileSystem dfs;
-  dfs.SetCompression(true);
-  const std::string blob = RedundantBlob();
-  // Injection decisions are pure functions of the path, so spread reads
-  // over many blobs to guarantee some first fetches corrupt.
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(dfs.Write("out/blob-" + std::to_string(i), blob).ok());
-  }
-  dfs.SetFaultInjector(&injector);
-  for (int i = 0; i < 40; ++i) {
-    auto read = dfs.Read("out/blob-" + std::to_string(i));
-    ASSERT_TRUE(read.ok()) << read.status();
-    EXPECT_EQ(*read, blob);
-  }
-  EXPECT_GT(dfs.checksum_mismatches(), 0);
-  EXPECT_GT(dfs.reads_recovered(), 0);
-  dfs.SetFaultInjector(nullptr);
 }
 
 TEST(TempFileManagerTest, CreatesAndCleansUp) {

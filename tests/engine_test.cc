@@ -64,6 +64,7 @@ EngineConfig SequentialConfig(int workers) {
   EngineConfig config;
   config.num_workers = workers;
   config.network_bandwidth_bytes_per_sec = 0;
+  config.host_threads = 1;  // RecordingJob's mappers share one vector
   return config;
 }
 

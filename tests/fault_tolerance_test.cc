@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/logging.h"
 #include "io/dfs.h"
@@ -25,15 +26,28 @@ EngineConfig TestConfig() {
   return config;
 }
 
+/// Task attempts counted per task: slot `worker_id` for a map task, slot
+/// `reduce_partition` for a reduce task. One task's attempts run one after
+/// another, so a slot holds that task's 0-based attempt index at any host
+/// thread count.
+using AttemptCounts = std::vector<std::atomic<int>>;
+
+int TotalAttempts(const AttemptCounts& counts) {
+  int total = 0;
+  for (const std::atomic<int>& count : counts) total += count.load();
+  return total;
+}
+
 /// Emits (dim0, "1") per row; fails mid-split (after emitting part of its
 /// output!) on the first `failures_per_task` attempts of every task.
 class FlakyMapper : public Mapper {
  public:
-  FlakyMapper(std::shared_ptr<std::atomic<int>> attempts, int failures)
+  FlakyMapper(std::shared_ptr<AttemptCounts> attempts, int failures)
       : attempts_(std::move(attempts)), failures_(failures) {}
 
-  Status Setup(const TaskContext&) override {
-    attempt_index_ = attempts_->fetch_add(1);
+  Status Setup(const TaskContext& ctx) override {
+    attempt_index_ =
+        (*attempts_)[static_cast<size_t>(ctx.worker_id)].fetch_add(1);
     return Status::OK();
   }
 
@@ -50,7 +64,7 @@ class FlakyMapper : public Mapper {
   }
 
  private:
-  std::shared_ptr<std::atomic<int>> attempts_;
+  std::shared_ptr<AttemptCounts> attempts_;
   int failures_;
   int attempt_index_ = 0;
   int64_t rows_seen_ = 0;
@@ -74,13 +88,13 @@ class CountReducer : public Reducer {
 /// Reducer that fails after outputting some pairs on its first attempt.
 class FlakyReducer : public Reducer {
  public:
-  explicit FlakyReducer(std::shared_ptr<std::atomic<int>> attempts)
+  explicit FlakyReducer(std::shared_ptr<AttemptCounts> attempts)
       : attempts_(std::move(attempts)) {}
 
-  Status Setup(const TaskContext&) override {
-    // Tasks run sequentially and each failing task is retried immediately,
-    // so even construction indices are first attempts.
-    first_attempt_ = attempts_->fetch_add(1) % 2 == 0;
+  Status Setup(const TaskContext& ctx) override {
+    first_attempt_ =
+        (*attempts_)[static_cast<size_t>(ctx.reduce_partition)].fetch_add(
+            1) == 0;
     return Status::OK();
   }
 
@@ -101,7 +115,7 @@ class FlakyReducer : public Reducer {
   }
 
  private:
-  std::shared_ptr<std::atomic<int>> attempts_;
+  std::shared_ptr<AttemptCounts> attempts_;
   bool first_attempt_ = false;
   int groups_ = 0;
 };
@@ -128,7 +142,8 @@ TEST(FaultToleranceTest, FlakyMapperSucceedsWithRetries) {
   DistributedFileSystem dfs;
   Engine engine(TestConfig(), &dfs);
 
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  auto attempts =
+      std::make_shared<AttemptCounts>(TestConfig().num_workers);
   JobSpec spec;
   spec.max_task_attempts = 2;
   spec.mapper_factory = [attempts] {
@@ -141,7 +156,7 @@ TEST(FaultToleranceTest, FlakyMapperSucceedsWithRetries) {
   // Retried attempts' partial emissions were discarded: counts are exact.
   EXPECT_EQ(CollectorCounts(collector), DirectCounts(rel));
   // Each of the 4 map tasks ran twice (fail, then succeed).
-  EXPECT_EQ(attempts->load(), 8);
+  EXPECT_EQ(TotalAttempts(*attempts), 8);
 }
 
 TEST(FaultToleranceTest, MapperFailsWithoutRetries) {
@@ -149,7 +164,8 @@ TEST(FaultToleranceTest, MapperFailsWithoutRetries) {
   DistributedFileSystem dfs;
   Engine engine(TestConfig(), &dfs);
 
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  auto attempts =
+      std::make_shared<AttemptCounts>(TestConfig().num_workers);
   JobSpec spec;
   spec.max_task_attempts = 1;
   spec.mapper_factory = [attempts] {
@@ -193,7 +209,8 @@ TEST(FaultToleranceTest, FlakyReducerOutputNotDuplicated) {
   DistributedFileSystem dfs;
   Engine engine(TestConfig(), &dfs);
 
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  auto attempts =
+      std::make_shared<AttemptCounts>(TestConfig().num_workers);
   JobSpec spec;
   spec.max_task_attempts = 2;
   spec.mapper_factory = [] {

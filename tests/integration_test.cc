@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "baselines/hive.h"
 #include "baselines/mrcube.h"
@@ -27,6 +28,12 @@ struct NamedRelation {
   const char* name;
   Relation (*make)();
 };
+
+// gtest would otherwise print the struct's raw bytes, pointers included,
+// and those bytes become part of the test names CTest discovers.
+void PrintTo(const NamedRelation& relation, std::ostream* os) {
+  *os << relation.name;
+}
 
 Relation Wiki() { return GenWikiLike(3000, 101); }
 Relation UsaGov() {

@@ -139,119 +139,6 @@ TEST(RelationTest, ByteSizeGrows) {
   EXPECT_EQ(rel.ByteSize() - empty, 5 * 8);
 }
 
-// ---------------------------------------------------------------------------
-// Per-column dictionary encoding (docs/INTERNALS.md §13). Every decoded
-// value, measure, and modeled byte must be identical to the plain layout.
-// ---------------------------------------------------------------------------
-
-Relation MakeMixedWidthRelation(int64_t rows) {
-  // dim0: 8 distinct small values (u8 codes); dim1: > 256 distinct values,
-  // negatives included (u16 codes); dim2: constant (u8, single-entry dict).
-  Relation rel(MakeAnonymousSchema(3));
-  Rng rng(20260808);
-  for (int64_t i = 0; i < rows; ++i) {
-    const int64_t d0 = static_cast<int64_t>(rng.NextBounded(8));
-    const int64_t d1 = static_cast<int64_t>(rng.NextBounded(500)) - 250;
-    rel.AppendRow(std::vector<int64_t>{d0, d1, 42}, i * 3 - 7);
-  }
-  return rel;
-}
-
-TEST(DictionaryEncodingTest, EncodeRoundTripsValuesAndMeasures) {
-  const int64_t rows = 1500;
-  Relation plain = MakeMixedWidthRelation(rows);
-  Relation encoded = MakeMixedWidthRelation(rows);
-  encoded.DictionaryEncode();
-  ASSERT_TRUE(encoded.dictionary_encoded());
-  EXPECT_FALSE(plain.dictionary_encoded());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int d = 0; d < 3; ++d) {
-      ASSERT_EQ(encoded.dim(r, d), plain.dim(r, d)) << "r=" << r << " d=" << d;
-    }
-    ASSERT_EQ(encoded.measure(r), plain.measure(r));
-    const auto row = encoded.row(r);
-    ASSERT_EQ(row[0], plain.dim(r, 0));
-  }
-}
-
-TEST(DictionaryEncodingTest, DictionariesAreSortedUnique) {
-  Relation rel = MakeMixedWidthRelation(1500);
-  rel.DictionaryEncode();
-  for (int d = 0; d < 3; ++d) {
-    const auto dict = rel.dictionary(d);
-    ASSERT_FALSE(dict.empty());
-    for (size_t i = 1; i < dict.size(); ++i) {
-      EXPECT_LT(dict[i - 1], dict[i]);  // strictly increasing: sorted + unique
-    }
-  }
-  EXPECT_EQ(rel.dictionary(2).size(), 1u);  // constant column
-  // Plain relations expose no dictionaries.
-  Relation plain = MakeMixedWidthRelation(10);
-  EXPECT_TRUE(plain.dictionary(0).empty());
-}
-
-TEST(DictionaryEncodingTest, ScanIsOrderPreserving) {
-  Relation rel = MakeMixedWidthRelation(1500);
-  Relation plain = MakeMixedWidthRelation(1500);
-  rel.DictionaryEncode();
-  for (int d = 0; d < 3; ++d) {
-    const auto scan = rel.scan(d);
-    const auto raw = plain.scan(d);
-    for (int64_t r = 1; r < rel.num_rows(); ++r) {
-      const size_t i = static_cast<size_t>(r);
-      // Codes compare exactly as the decoded values do.
-      const int cmp_codes = scan[i] < scan[i - 1]   ? -1
-                            : scan[i] > scan[i - 1] ? 1
-                                                    : 0;
-      const int cmp_vals = raw[i] < raw[i - 1]   ? -1
-                           : raw[i] > raw[i - 1] ? 1
-                                                 : 0;
-      ASSERT_EQ(cmp_codes, cmp_vals) << "r=" << r << " d=" << d;
-    }
-  }
-}
-
-TEST(DictionaryEncodingTest, ByteSizeIsEncodingInvariantPhysicalShrinks) {
-  Relation rel = MakeMixedWidthRelation(2000);
-  const int64_t logical = rel.ByteSize();
-  EXPECT_EQ(rel.PhysicalByteSize(), logical);  // plain: identical
-  rel.DictionaryEncode();
-  // The memory model must not see the encoding (modeled spill schedules
-  // stay bit-identical), but the physical footprint drops.
-  EXPECT_EQ(rel.ByteSize(), logical);
-  EXPECT_LT(rel.PhysicalByteSize(), logical);
-}
-
-TEST(DictionaryEncodingTest, EncodeIsIdempotentAndBumpsEpoch) {
-  Relation rel = MakeMixedWidthRelation(100);
-  const uint64_t before = rel.lifetime_epoch();
-  rel.DictionaryEncode();
-  EXPECT_GT(rel.lifetime_epoch(), before);
-  const uint64_t after = rel.lifetime_epoch();
-  const int64_t sample = rel.dim(17, 1);
-  rel.DictionaryEncode();  // no-op
-  EXPECT_EQ(rel.lifetime_epoch(), after);
-  EXPECT_EQ(rel.dim(17, 1), sample);
-}
-
-TEST(DictionaryEncodingTest, ViewsReadThroughEncodedRelations) {
-  Relation rel = MakeMixedWidthRelation(200);
-  Relation plain = MakeMixedWidthRelation(200);
-  rel.DictionaryEncode();
-  RelationView contiguous(rel, 50, 150);
-  ASSERT_EQ(contiguous.num_rows(), 100);
-  for (int64_t r = 0; r < contiguous.num_rows(); ++r) {
-    for (int d = 0; d < 3; ++d) {
-      ASSERT_EQ(contiguous.dim(r, d), plain.dim(r + 50, d));
-    }
-    ASSERT_EQ(contiguous.measure(r), plain.measure(r + 50));
-  }
-  const std::vector<int64_t> rows = {199, 3, 77};
-  RelationView gathered(rel, rows);
-  EXPECT_EQ(gathered.dim(0, 1), plain.dim(199, 1));
-  EXPECT_EQ(gathered.dim(2, 2), plain.dim(77, 2));
-}
-
 TEST(DictionaryTest, InternIsIdempotent) {
   Dictionary dict;
   EXPECT_EQ(dict.Intern("rome"), 0);

@@ -68,9 +68,9 @@ TEST(ShuffleBufferTest, RoutesToPartitionsAndCounts) {
   EXPECT_EQ(counters.map_output_bytes, 2 + 3 + 4);
   EXPECT_EQ(counters.spill_bytes, 0);
 
-  EXPECT_EQ(buffer.TakeMemoryRecords(0).size(), 2u);
-  EXPECT_EQ(buffer.TakeMemoryRecords(1).size(), 0u);
-  EXPECT_EQ(buffer.TakeMemoryRecords(2).size(), 1u);
+  EXPECT_EQ(buffer.TakeMemorySegment(0).num_records(), 2);
+  EXPECT_EQ(buffer.TakeMemorySegment(1).num_records(), 0);
+  EXPECT_EQ(buffer.TakeMemorySegment(2).num_records(), 1);
 }
 
 TEST(ShuffleBufferTest, CombinerCollapsesDuplicates) {
@@ -82,10 +82,12 @@ TEST(ShuffleBufferTest, CombinerCollapsesDuplicates) {
     ASSERT_TRUE(buffer.Add(0, "k" + std::to_string(i % 4), "1").ok());
   }
   ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
-  std::vector<Record> records = buffer.TakeMemoryRecords(0);
-  ASSERT_EQ(records.size(), 4u);
+  const ShuffleSegment segment = buffer.TakeMemorySegment(0);
+  ASSERT_EQ(segment.num_records(), 4);
   int64_t total = 0;
-  for (const Record& record : records) total += std::stoll(record.value);
+  for (const ShuffleRecordRef& ref : segment.refs()) {
+    total += std::stoll(std::string(ref.value()));
+  }
   EXPECT_EQ(total, 100);
   EXPECT_EQ(counters.combine_input_records, 100);
   EXPECT_EQ(counters.combine_output_records, 4);
@@ -104,17 +106,12 @@ TEST(ShuffleBufferTest, OverflowSpillsSortedRuns) {
   }
   ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
   EXPECT_GT(counters.spill_bytes, 0);
-  // The on-disk delta/varint bytes never exceed what the legacy fixed-frame
-  // format would have written for the same records (§13's twin invariant).
-  EXPECT_GT(counters.spill_bytes_uncompressed, 0);
-  EXPECT_LE(counters.spill_bytes, counters.spill_bytes_uncompressed);
 
   int64_t spilled_records = 0;
   for (int p = 0; p < 2; ++p) {
     for (const RunInfo& run : buffer.TakeSpillRuns(p)) {
       EXPECT_GT(run.records, 0);
       EXPECT_GT(run.file_bytes, 0);
-      EXPECT_LE(run.file_bytes, run.uncompressed_file_bytes);
       spilled_records += run.records;
       // Each run is sorted by key (delta-encoded records in CRC-framed
       // blocks, §13).
@@ -143,9 +140,8 @@ TEST(ShuffleBufferTest, OverflowSpillsSortedRuns) {
       EXPECT_EQ(decoded, run.records);
     }
   }
-  int64_t memory_records =
-      static_cast<int64_t>(buffer.TakeMemoryRecords(0).size()) +
-      static_cast<int64_t>(buffer.TakeMemoryRecords(1).size());
+  const int64_t memory_records = buffer.TakeMemorySegment(0).num_records() +
+                                 buffer.TakeMemorySegment(1).num_records();
   EXPECT_EQ(spilled_records + memory_records, 50);
 }
 
@@ -164,13 +160,25 @@ TEST(ShuffleBufferTest, CombineThenSpillWhenStillOverBudget) {
   EXPECT_GT(counters.combine_input_records, 0);
 }
 
-ReduceInput MakeInput(std::vector<Record> records) {
-  ReduceInput input;
+/// Adds `segment` to `input` as one unsorted in-memory source.
+void AddSegment(ShuffleSegment segment, ReduceInput* input) {
+  input->total_bytes += segment.payload_bytes();
+  input->total_records += segment.num_records();
+  if (!segment.empty()) input->memory_segments.push_back(std::move(segment));
+}
+
+/// An in-memory reduce input holding `records` in emission order, built the
+/// way the engine builds one: through a map-side buffer's segment hand-off.
+ReduceInput MakeInput(const std::vector<Record>& records) {
+  TempFileManager temp("make_input");
+  ShuffleCounters counters;
+  ShuffleBuffer buffer(1, int64_t{1} << 40, nullptr, &temp, &counters);
   for (const Record& record : records) {
-    input.total_bytes += RecordBytes(record.key, record.value);
-    ++input.total_records;
+    EXPECT_TRUE(buffer.Add(0, record.key, record.value).ok());
   }
-  input.memory_records = std::move(records);
+  EXPECT_TRUE(buffer.FinalizeMapOutput().ok());
+  ReduceInput input;
+  AddSegment(buffer.TakeMemorySegment(0), &input);
   return input;
 }
 
@@ -241,11 +249,7 @@ TEST(GroupedStreamTest, ExternalMergeEqualsInMemory) {
   }
   ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
   ReduceInput external_input;
-  external_input.memory_records = buffer.TakeMemoryRecords(0);
-  for (const Record& record : external_input.memory_records) {
-    external_input.total_bytes += RecordBytes(record.key, record.value);
-    ++external_input.total_records;
-  }
+  AddSegment(buffer.TakeMemorySegment(0), &external_input);
   for (RunInfo& run : buffer.TakeSpillRuns(0)) {
     external_input.total_bytes += run.payload_bytes;
     external_input.total_records += run.records;
@@ -277,7 +281,7 @@ TEST(GroupedStreamTest, AbsorbsRunsWhenTheyFit) {
   }
   ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
   ReduceInput input;
-  input.memory_records = buffer.TakeMemoryRecords(0);
+  input.memory_segments.push_back(buffer.TakeMemorySegment(0));
   for (RunInfo& run : buffer.TakeSpillRuns(0)) {
     input.spill_runs.push_back(std::move(run));
   }
@@ -487,31 +491,6 @@ TEST(SpillCodecTest, DeltaCodecRoundTripsSortedRuns) {
       ASSERT_TRUE(decoder.Parse(payloads[i], &key, &value).ok());
       EXPECT_EQ(key, records[i].first);
       EXPECT_EQ(value, records[i].second);
-    }
-  }
-}
-
-TEST(SpillCodecTest, DeltaNeverExceedsLegacyFileBytes) {
-  // The uncompressed-twin invariant: frame (varint length + u32 crc) plus
-  // delta payload never exceeds LegacySpillRecordFileBytes — the 12-byte
-  // fixed frame plus PutBytes(key)+PutBytes(value) the seed wrote — for any
-  // record sequence, sorted or not.
-  Rng rng(193);
-  for (int trial = 0; trial < 50; ++trial) {
-    SpillRecordEncoder encoder;
-    ByteWriter out;
-    std::string prev;
-    for (int i = 0; i < 20; ++i) {
-      const std::string key = RandomBytes(rng, 64);
-      const std::string value = RandomBytes(rng, 64);
-      out.Clear();
-      encoder.Append(key, value, &out);
-      // Frame: <= 2 varint bytes for any payload this size, + 4 crc bytes.
-      const int64_t framed =
-          static_cast<int64_t>((out.size() < 128 ? 1 : 2) + 4 + out.size());
-      EXPECT_LE(framed, LegacySpillRecordFileBytes(key.size(), value.size()))
-          << "key_len=" << key.size() << " value_len=" << value.size();
-      prev = key;
     }
   }
 }
@@ -758,11 +737,10 @@ TEST(ShuffleEquivalenceTest, SpillsCombinerAndCorruptionPreserveReduceInput) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// TakeMemorySegment / TakeMemoryRecords equivalence.
-// ---------------------------------------------------------------------------
-
-TEST(ShuffleBufferTest, SegmentAndRecordAccessorsAgree) {
+TEST(ShuffleBufferTest, SegmentHandsOffSurvivingRecords) {
+  // Without a combiner a partition's segment holds its records in emission
+  // order; with one, one combined record per key. Either way payload_bytes
+  // is the records' payload and a second take yields nothing.
   Rng rng(88);
   std::vector<Record> records;
   for (int i = 0; i < 120; ++i) {
@@ -773,37 +751,44 @@ TEST(ShuffleBufferTest, SegmentAndRecordAccessorsAgree) {
     SCOPED_TRACE("combiner=" + std::to_string(use_combiner));
     TempFileManager temp("shuffle_seg");
     SumCombiner combiner;
-    ShuffleCounters seg_counters;
-    ShuffleCounters rec_counters;
-    ShuffleBuffer seg_buffer(2, int64_t{1} << 30,
-                             use_combiner ? &combiner : nullptr, &temp,
-                             &seg_counters);
-    ShuffleBuffer rec_buffer(2, int64_t{1} << 30,
-                             use_combiner ? &combiner : nullptr, &temp,
-                             &rec_counters);
+    ShuffleCounters counters;
+    ShuffleBuffer buffer(2, int64_t{1} << 30,
+                         use_combiner ? &combiner : nullptr, &temp,
+                         &counters);
+    std::vector<std::vector<Record>> emitted(2);
+    std::vector<std::map<std::string, int64_t>> sums(2);
     for (const Record& record : records) {
-      const int partition = static_cast<int>(record.key.size() % 2);
-      ASSERT_TRUE(seg_buffer.Add(partition, record.key, record.value).ok());
-      ASSERT_TRUE(rec_buffer.Add(partition, record.key, record.value).ok());
+      const size_t partition = record.key.size() % 2;
+      ASSERT_TRUE(buffer
+                      .Add(static_cast<int>(partition), record.key,
+                           record.value)
+                      .ok());
+      emitted[partition].push_back(record);
+      sums[partition][record.key] += std::stoll(record.value);
     }
-    ASSERT_TRUE(seg_buffer.FinalizeMapOutput().ok());
-    ASSERT_TRUE(rec_buffer.FinalizeMapOutput().ok());
+    ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
 
-    for (int p = 0; p < 2; ++p) {
-      ShuffleSegment segment = seg_buffer.TakeMemorySegment(p);
-      const std::vector<Record> taken = rec_buffer.TakeMemoryRecords(p);
-      ASSERT_EQ(segment.num_records(),
-                static_cast<int64_t>(taken.size()));
+    for (size_t p = 0; p < 2; ++p) {
+      const ShuffleSegment segment =
+          buffer.TakeMemorySegment(static_cast<int>(p));
+      const size_t expected =
+          use_combiner ? sums[p].size() : emitted[p].size();
+      ASSERT_EQ(segment.refs().size(), expected);
       int64_t payload = 0;
-      for (size_t i = 0; i < taken.size(); ++i) {
-        EXPECT_EQ(segment.refs()[i].key(), taken[i].key);
-        EXPECT_EQ(segment.refs()[i].value(), taken[i].value);
-        payload += RecordBytes(taken[i].key, taken[i].value);
+      std::map<std::string, int64_t> taken_sums;
+      for (size_t i = 0; i < expected; ++i) {
+        const ShuffleRecordRef& ref = segment.refs()[i];
+        payload += RecordBytes(ref.key(), ref.value());
+        taken_sums[std::string(ref.key())] +=
+            std::stoll(std::string(ref.value()));
+        if (!use_combiner) {
+          EXPECT_EQ(ref.key(), emitted[p][i].key);
+          EXPECT_EQ(ref.value(), emitted[p][i].value);
+        }
       }
+      EXPECT_EQ(taken_sums, sums[p]);
       EXPECT_EQ(segment.payload_bytes(), payload);
-      // A second take yields nothing: each call empties the partition.
-      EXPECT_TRUE(seg_buffer.TakeMemorySegment(p).empty());
-      EXPECT_TRUE(rec_buffer.TakeMemoryRecords(p).empty());
+      EXPECT_TRUE(buffer.TakeMemorySegment(static_cast<int>(p)).empty());
     }
   }
 }

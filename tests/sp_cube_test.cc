@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "baselines/naive.h"
 #include "core/sp_cube.h"
@@ -43,6 +44,12 @@ struct Workload {
   const char* name;
   Relation (*make)(uint64_t seed);
 };
+
+// gtest would otherwise print the struct's raw bytes, pointers included,
+// and those bytes become part of the test names CTest discovers.
+void PrintTo(const Workload& workload, std::ostream* os) {
+  *os << workload.name;
+}
 
 Relation MakeUniform(uint64_t seed) { return GenUniform(3000, 4, 30, seed); }
 Relation MakeTinyDomain(uint64_t seed) {

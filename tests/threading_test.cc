@@ -215,9 +215,7 @@ std::string ModeledMetricsFingerprint(const RunMetrics& metrics) {
     fp += ",ci=" + std::to_string(round.combine_input_records);
     fp += ",co=" + std::to_string(round.combine_output_records);
     fp += ",sp=" + std::to_string(round.spill_bytes);
-    fp += ",spu=" + std::to_string(round.spill_bytes_uncompressed);
     fp += ",swc=" + std::to_string(round.shuffle_bytes_compressed);
-    fp += ",swu=" + std::to_string(round.shuffle_bytes_uncompressed);
     fp += ",out=" + std::to_string(round.output_records);
     fp += ",retry=" + std::to_string(round.task_retries);
     fp += ",reexec=" + std::to_string(round.tasks_reexecuted_after_crash);
@@ -270,10 +268,8 @@ struct DeterminismProbe {
 Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
                                   const Config& config, const Relation& rel,
                                   int host_threads, int producers,
-                                  FaultConfig* chaos,
-                                  bool compress_dfs = false) {
+                                  FaultConfig* chaos) {
   EngineConfig cluster = MakeCluster(config, host_threads, producers);
-  cluster.compress_dfs_blobs = compress_dfs;
   FaultPlan plan(chaos != nullptr ? *chaos : FaultConfig{});
   if (chaos != nullptr) {
     cluster.fault_plan = &plan;
@@ -359,12 +355,11 @@ TEST(ThreadedDeterminismTest, SerialThreadedAndStolenRunsAreIndistinguishable) {
   }
 }
 
-/// The compressed columnar path (docs/INTERNALS.md §13) under the same
-/// probe: dictionary-encoded reducer partitions plus compressed DFS blobs
-/// must be invisible to scheduling AND to the model — serial, threaded and
-/// stolen runs agree with each other, and with the *plain* serial run, in
-/// the cube bytes, user counters and every modeled metric. The deflate work
-/// happens on worker threads; TSan covers it via this test.
+/// The compressed spill path (docs/INTERNALS.md §13) under the same probe:
+/// a tight budget pushes SP-Cube's shuffle through delta-encoded spill runs
+/// written and merged on worker threads, and threaded and stolen runs must
+/// agree with the serial run in the cube bytes, user counters and every
+/// modeled metric. TSan covers the spill codec via this test.
 TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
   Config config;
   config.distribution = 1;  // zipf: hot groups make spills + redundancy
@@ -382,10 +377,7 @@ TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
   chaos.dfs_read_error_rate = 0.15;
   chaos.payload_corruption_rate = 0.2;
 
-  SpCubeOptions compressed_options;
-  compressed_options.tuning.dictionary_encode_partitions = true;
-  SpCubeAlgorithm plain_algorithm;
-  SpCubeAlgorithm compressed_algorithm(compressed_options);
+  SpCubeAlgorithm algorithm;
 
   for (FaultConfig* plan :
        std::initializer_list<FaultConfig*>{nullptr, &chaos}) {
@@ -394,27 +386,23 @@ TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
     // combine/spill schedule, and with avg the low-order float bits), so
     // each comparison pins it on both sides.
     for (int producers : {1, 3}) {
-      auto plain = RunProbe(&plain_algorithm, config, rel,
-                            /*host_threads=*/0, producers, plan);
-      ASSERT_TRUE(plain.ok()) << mode << ": " << plain.status();
-      for (int host_threads : {0, 4}) {
-        auto probe = RunProbe(&compressed_algorithm, config, rel,
-                              host_threads, producers, plan,
-                              /*compress_dfs=*/true);
-        ASSERT_TRUE(probe.ok()) << mode << ": " << probe.status();
-        std::string diff;
-        EXPECT_TRUE(CubeResult::ApproxEqual(*plain->cube, *probe->cube,
-                                            /*tolerance=*/0.0, &diff))
-            << mode << " threads=" << host_threads << " producers="
-            << producers << ": cube diverged from plain serial run:\n"
-            << diff;
-        EXPECT_EQ(plain->dfs_fp, probe->dfs_fp)
-            << mode << " threads=" << host_threads << " producers="
-            << producers << ": decoded DFS bytes diverged";
-        EXPECT_EQ(plain->metrics_fp, probe->metrics_fp)
-            << mode << " threads=" << host_threads << " producers="
-            << producers << ": modeled metrics saw the encoding";
-      }
+      auto serial = RunProbe(&algorithm, config, rel, /*host_threads=*/0,
+                             producers, plan);
+      ASSERT_TRUE(serial.ok()) << mode << ": " << serial.status();
+      auto pooled = RunProbe(&algorithm, config, rel, /*host_threads=*/4,
+                             producers, plan);
+      ASSERT_TRUE(pooled.ok()) << mode << ": " << pooled.status();
+      std::string diff;
+      EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
+                                          /*tolerance=*/0.0, &diff))
+          << mode << " producers=" << producers
+          << ": cube diverged from serial run:\n"
+          << diff;
+      EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp)
+          << mode << " producers=" << producers << ": DFS bytes diverged";
+      EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
+          << mode << " producers=" << producers
+          << ": modeled metrics diverged";
     }
   }
 }
@@ -426,11 +414,9 @@ TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
 /// bytes; §14 requires those drains to run in canonical key order, so any
 /// regression to raw bucket order shows up here as a DFS or metrics
 /// fingerprint mismatch across host-thread counts. The drifting batched
-/// stream keeps the hash tables hot (changing heavy hitters per batch),
-/// and the compression axis checks that DFS blob codecs stay invisible to
-/// both the model and the stored bytes. Every cell of
-/// host_threads x compress_dfs_blobs must be indistinguishable from the
-/// serial uncompressed baseline.
+/// stream keeps the hash tables hot (changing heavy hitters per batch).
+/// Every host_threads setting must be indistinguishable from the serial
+/// baseline.
 TEST(ThreadedDeterminismTest, DriftBatchesMatchAcrossThreadsAndCompression) {
   Config config;
   config.distribution = 1;
@@ -456,34 +442,26 @@ TEST(ThreadedDeterminismTest, DriftBatchesMatchAcrossThreadsAndCompression) {
     for (CubeAlgorithm* algorithm :
          std::initializer_list<CubeAlgorithm*>{&sp, &hive}) {
       auto baseline = RunProbe(algorithm, config, rel, /*host_threads=*/0,
-                               /*producers=*/1, /*chaos=*/nullptr,
-                               /*compress_dfs=*/false);
+                               /*producers=*/1, /*chaos=*/nullptr);
       ASSERT_TRUE(baseline.ok()) << algorithm->name() << " batch=" << batch
                                  << ": " << baseline.status();
-      for (int host_threads : {0, 2, 4}) {
-        for (bool compress : {false, true}) {
-          if (host_threads == 0 && !compress) continue;  // the baseline
-          auto probe = RunProbe(algorithm, config, rel, host_threads,
-                                /*producers=*/1, /*chaos=*/nullptr, compress);
-          ASSERT_TRUE(probe.ok())
-              << algorithm->name() << " batch=" << batch << ": "
-              << probe.status();
-          std::string diff;
-          EXPECT_TRUE(CubeResult::ApproxEqual(*baseline->cube, *probe->cube,
-                                              /*tolerance=*/0.0, &diff))
-              << algorithm->name() << " batch=" << batch << " threads="
-              << host_threads << " compress=" << compress
-              << ": cube diverged:\n"
-              << diff;
-          EXPECT_EQ(baseline->dfs_fp, probe->dfs_fp)
-              << algorithm->name() << " batch=" << batch << " threads="
-              << host_threads << " compress=" << compress
-              << ": DFS bytes diverged";
-          EXPECT_EQ(baseline->metrics_fp, probe->metrics_fp)
-              << algorithm->name() << " batch=" << batch << " threads="
-              << host_threads << " compress=" << compress
-              << ": modeled metrics diverged";
-        }
+      for (int host_threads : {2, 4}) {
+        auto probe = RunProbe(algorithm, config, rel, host_threads,
+                              /*producers=*/1, /*chaos=*/nullptr);
+        ASSERT_TRUE(probe.ok()) << algorithm->name() << " batch=" << batch
+                                << ": " << probe.status();
+        std::string diff;
+        EXPECT_TRUE(CubeResult::ApproxEqual(*baseline->cube, *probe->cube,
+                                            /*tolerance=*/0.0, &diff))
+            << algorithm->name() << " batch=" << batch << " threads="
+            << host_threads << ": cube diverged:\n"
+            << diff;
+        EXPECT_EQ(baseline->dfs_fp, probe->dfs_fp)
+            << algorithm->name() << " batch=" << batch << " threads="
+            << host_threads << ": DFS bytes diverged";
+        EXPECT_EQ(baseline->metrics_fp, probe->metrics_fp)
+            << algorithm->name() << " batch=" << batch << " threads="
+            << host_threads << ": modeled metrics diverged";
       }
     }
   }

@@ -95,9 +95,10 @@ bench_json_smoke() {
       --emit-json="${fig_out}" >/dev/null &&
     python3 tools/validate_bench_json.py "${fig_out}" &&
     python3 tools/validate_bench_json.py BENCH_*.json || return 1
-  # Measured spill-byte reduction of the delta/varint run codec on the
-  # headline Zipf stream (bench_compression exits nonzero itself when the
-  # codec loses wall-clock or the reduction gate fails).
+  # Measured spill-byte reduction of the delta/varint run codec against
+  # the legacy fixed-frame format on the headline Zipf stream
+  # (bench_compression races only the spill codec and exits nonzero itself
+  # when it loses wall-clock or the spill-reduction gate fails).
   compression_line=$(python3 - "${compression_out}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -1,32 +1,16 @@
 #include "mapreduce/backoff.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/hash.h"
-#include "common/random.h"
 
 namespace spcube {
 
-double RetryBackoffSeconds(double base_seconds, double cap_seconds,
-                           double jitter_fraction, uint64_t jitter_seed,
-                           int64_t job, TaskKind kind, int task, int attempt) {
+double RetryBackoffSeconds(double base_seconds, int attempt) {
   if (base_seconds <= 0.0) return 0.0;
-  // ldexp saturates to +inf for absurd attempt counts; the cap (when set)
-  // brings the delay back to a finite schedule.
-  double delay = base_seconds * std::ldexp(1.0, attempt);
-  if (cap_seconds > 0.0 && delay > cap_seconds) delay = cap_seconds;
-  if (jitter_fraction > 0.0) {
-    // Domain-separated decision key in the style of FaultPlan: a pure hash
-    // of the attempt's stable coordinates.
-    uint64_t key = HashCombine(Mix64(jitter_seed ^ 0xb0ffu), 8 /*tag*/);
-    key = HashCombine(key, static_cast<uint64_t>(job));
-    key = HashCombine(key, static_cast<uint64_t>(kind));
-    key = HashCombine(key, HashCombine(static_cast<uint64_t>(task),
-                                       static_cast<uint64_t>(attempt)));
-    const double u = Rng(key).NextDouble();
-    delay *= 1.0 - jitter_fraction + 2.0 * jitter_fraction * u;
-  }
-  return delay;
+  // ldexp saturates to +inf for absurd attempt counts; the cap brings the
+  // delay back to a finite schedule.
+  return std::min(kRetryBackoffCapSeconds,
+                  base_seconds * std::ldexp(1.0, attempt));
 }
 
 }  // namespace spcube

@@ -1,29 +1,20 @@
 #ifndef SPCUBE_MAPREDUCE_BACKOFF_H_
 #define SPCUBE_MAPREDUCE_BACKOFF_H_
 
-#include <cstdint>
-
-#include "mapreduce/fault.h"
-
 namespace spcube {
 
-/// Simulated re-scheduling delay of the `attempt`-th retry of a task:
-/// capped exponential with optional seeded jitter,
+/// Ceiling on a single backoff delay, so deep retry/split chains cannot
+/// charge unbounded simulated time.
+inline constexpr double kRetryBackoffCapSeconds = 60.0;
+
+/// Simulated re-scheduling delay of the `attempt`-th retry of a task
+/// (attempt = 0, 1, ...): capped exponential,
 ///
-///   delay = min(cap_seconds, base_seconds * 2^attempt) * jitter_factor
+///   delay = min(kRetryBackoffCapSeconds, base_seconds * 2^attempt)
 ///
-/// where jitter_factor is drawn uniformly from
-/// [1 - jitter_fraction, 1 + jitter_fraction) by a `spcube::Rng` seeded
-/// purely from (jitter_seed, job, kind, task, attempt) — never from call
-/// order or host state — so threaded and sequential runs charge identical
-/// backoff and same-seed reruns are bit-reproducible. `jitter_fraction`
-/// must be in [0, 1] (0 disables jitter); `cap_seconds` <= 0 disables the
-/// cap. The first two retries (attempts 0 and 1) cost base and 2*base, the
-/// same as the old linear schedule, so defaults are drop-in; later retries
-/// grow exponentially instead of linearly.
-double RetryBackoffSeconds(double base_seconds, double cap_seconds,
-                           double jitter_fraction, uint64_t jitter_seed,
-                           int64_t job, TaskKind kind, int task, int attempt);
+/// and 0 when `base_seconds` <= 0. A pure function of its arguments, so
+/// threaded and serial runs charge identical backoff.
+double RetryBackoffSeconds(double base_seconds, int attempt);
 
 }  // namespace spcube
 

@@ -49,18 +49,6 @@ struct EngineConfig {
   /// simulated machine no matter which host thread ran (or stole) the task.
   int host_threads = kHostThreadsAuto;
 
-  /// Stealable map sub-tasks ("producers") per simulated machine. Each
-  /// producer maps a contiguous sub-range of the machine's split into its
-  /// own arena-backed ShuffleBuffer sized memory_budget_bytes / producers —
-  /// so the *sum* of a machine's live producer buffers never exceeds its
-  /// budget, and combine_headroom_fraction applies to each producer's
-  /// share. Segments merge in producer-index order on shuffle hand-off.
-  /// This is simulated-cluster configuration, never derived from host
-  /// cores: the combine/spill schedule depends on it, so it must be equal
-  /// across serial/threaded runs for determinism. 1 (the default)
-  /// reproduces the single-buffer spill schedule bit-for-bit.
-  int map_producers_per_machine = 1;
-
   // -- Fault tolerance -------------------------------------------------------
 
   /// Deterministic chaos plan (mapreduce/fault.h). Borrowed, may be null
@@ -74,22 +62,11 @@ struct EngineConfig {
 
   /// Base of the capped-exponential re-scheduling delay charged to a
   /// machine's busy time when a failed attempt is retried: the i-th retry
-  /// (i = 0, 1, ...) waits min(retry_backoff_cap_seconds, base * 2^i),
-  /// optionally jittered (see retry_backoff_jitter). Modeled time, not
-  /// wall-clock sleeping. Also the base of the per-split backoff charged by
-  /// adaptive partition-split recovery (JobSpec::recovery).
+  /// (i = 0, 1, ...) waits min(60 s, base * 2^i) (RetryBackoffSeconds in
+  /// mapreduce/backoff.h). Modeled time, not wall-clock sleeping. Also the
+  /// base of the per-split backoff charged by adaptive partition-split
+  /// recovery (JobSpec::recovery).
   double retry_backoff_seconds = 0.0;
-
-  /// Ceiling on a single backoff delay so deep retry/split chains cannot
-  /// charge unbounded simulated time. <= 0 disables the cap.
-  double retry_backoff_cap_seconds = 60.0;
-
-  /// Jitter fraction in [0, 1]: each backoff delay is scaled by a factor
-  /// drawn uniformly from [1 - jitter, 1 + jitter) with a seeded spcube::Rng
-  /// keyed purely on (fault seed, job, task kind, task, attempt), so charged
-  /// times stay bit-identical across same-seed reruns and across
-  /// threaded/sequential execution. 0 (default) disables jitter.
-  double retry_backoff_jitter = 0.0;
 
   /// Map-side combine headroom: after combining, the shuffle buffer only
   /// spills if it is still holding more than this fraction of
@@ -97,12 +74,6 @@ struct EngineConfig {
   /// next combine window can batch more duplicates (higher combine ratio at
   /// the cost of a fuller buffer). Must be in (0, 1].
   double combine_headroom_fraction = 0.75;
-
-  /// When > 0 and a round's reducer-input imbalance (max/avg input records,
-  /// JobMetrics::ReducerImbalance) exceeds this factor, the round's metrics
-  /// flag a reducer_imbalance_alert — the observable a production deployment
-  /// would use to trigger re-sketching when the data drifts. 0 disables.
-  double reducer_imbalance_alert_threshold = 0.0;
 
   /// Re-execute injected stragglers speculatively: the slow original is
   /// charged at most twice its measured time (it is killed when the backup
@@ -152,7 +123,9 @@ class Engine {
   /// `map_row` feeds the mapper one input item; `begin`/`end` delimit the
   /// task's split and `row` is the global item index within [begin, end).
   /// Relation jobs wrap the split as a RelationView; record jobs ignore the
-  /// split bounds.
+  /// split bounds. The round runs as phase functions over one RoundState
+  /// (engine.cc): map, crash re-execution, shuffle assembly, reduce
+  /// placement, reduce, fold.
   Result<JobMetrics> RunImpl(
       const JobSpec& spec, int64_t num_input_rows,
       const std::function<Status(Mapper*, int64_t begin, int64_t end,

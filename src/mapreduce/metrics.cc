@@ -103,15 +103,14 @@ std::string JobMetrics::ToString() const {
         fault_recovery_seconds);
     out += buf;
   }
-  if (reduce_partitions_split > 0 || reducer_imbalance_alerts > 0) {
+  if (reduce_partitions_split > 0) {
     std::snprintf(
         buf, sizeof(buf),
         " recovery(split_partitions=%lld rounds=%lld reshuffled=%lld B "
-        "time=%.3fs imbalance_alerts=%lld)",
+        "time=%.3fs)",
         static_cast<long long>(reduce_partitions_split),
         static_cast<long long>(recovery_rounds),
-        static_cast<long long>(recovery_bytes_reshuffled), recovery_seconds,
-        static_cast<long long>(reducer_imbalance_alerts));
+        static_cast<long long>(recovery_bytes_reshuffled), recovery_seconds);
     out += buf;
   }
   return out;
@@ -250,14 +249,6 @@ int64_t RunMetrics::RecoveryBytesReshuffled() const {
 double RunMetrics::RecoverySeconds() const {
   double total = 0.0;
   for (const JobMetrics& round : rounds) total += round.recovery_seconds;
-  return total;
-}
-
-int64_t RunMetrics::ReducerImbalanceAlerts() const {
-  int64_t total = 0;
-  for (const JobMetrics& round : rounds) {
-    total += round.reducer_imbalance_alerts;
-  }
   return total;
 }
 

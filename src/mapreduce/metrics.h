@@ -97,10 +97,6 @@ struct JobMetrics {
   /// fault_recovery_seconds, reported separately so degradation cost is
   /// attributable.
   double recovery_seconds = 0.0;
-  /// 1 when ReducerImbalance() exceeded
-  /// EngineConfig::reducer_imbalance_alert_threshold (> 0) this round — the
-  /// drift signal a deployment would use to trigger re-sketching.
-  int64_t reducer_imbalance_alerts = 0;
 
   /// User counters incremented by tasks via the contexts (only successful
   /// attempts contribute), keyed by name.
@@ -161,7 +157,6 @@ struct RunMetrics {
   int64_t RecoveryRounds() const;
   int64_t RecoveryBytesReshuffled() const;
   double RecoverySeconds() const;
-  int64_t ReducerImbalanceAlerts() const;
 
   /// Sum of one named user counter over all rounds.
   int64_t CustomCounter(const std::string& name) const;

@@ -52,6 +52,16 @@ struct ShuffleCounters {
   int64_t spill_bytes = 0;
   /// Fetches whose payload failed its CRC32C and was re-fetched.
   int64_t checksum_mismatches = 0;
+
+  ShuffleCounters& operator+=(const ShuffleCounters& other) {
+    map_output_records += other.map_output_records;
+    map_output_bytes += other.map_output_bytes;
+    combine_input_records += other.combine_input_records;
+    combine_output_records += other.combine_output_records;
+    spill_bytes += other.spill_bytes;
+    checksum_mismatches += other.checksum_mismatches;
+    return *this;
+  }
 };
 
 /// Stateful spill-run record codec (docs/INTERNALS.md §13). Runs are

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 
 #include "common/random.h"
 #include "cube/aggregate.h"
@@ -98,6 +99,12 @@ struct MergeCase {
   AggregateKind kind;
   uint64_t seed;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// and those bytes become part of the test names CTest discovers.
+void PrintTo(const MergeCase& merge_case, std::ostream* os) {
+  *os << GetAggregator(merge_case.kind).name() << "/seed" << merge_case.seed;
+}
 
 class MergePropertyTest : public ::testing::TestWithParam<MergeCase> {};
 

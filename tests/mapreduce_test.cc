@@ -513,6 +513,40 @@ TEST_F(MapReduceTest, ThreadedModePropagatesTaskFailures) {
   EXPECT_FALSE(engine.Run(spec, rel, &collector).ok());
 }
 
+/// CountReducer that fails permanently on the job's last reduce partition.
+class FailsOnLastPartitionReducer : public CountReducer {
+ public:
+  Status Setup(const TaskContext& task) override {
+    if (task.reduce_partition == task.num_reducers - 1) {
+      return Status::IoError("last partition's machine is down");
+    }
+    return Status::OK();
+  }
+};
+
+// Reduce output is delivered only once every partition has succeeded: a
+// job whose last partition fails permanently hands the collector nothing,
+// serial or threaded — earlier partitions' committed output included.
+TEST_F(MapReduceTest, FailedJobDeliversNothingToTheCollector) {
+  Relation rel = GenUniform(2000, 1, 37, 5);
+  for (int host_threads : {0, 4}) {
+    EngineConfig config = DefaultConfig();
+    config.host_threads = host_threads;
+    Engine engine(config, &dfs_);
+    JobSpec spec = CountJob();
+    spec.max_task_attempts = 2;
+    spec.reducer_factory = [] {
+      return std::make_unique<FailsOnLastPartitionReducer>();
+    };
+    VectorOutputCollector collector;
+    auto metrics = engine.Run(spec, rel, &collector);
+    EXPECT_FALSE(metrics.ok()) << "host_threads=" << host_threads;
+    EXPECT_TRUE(collector.entries().empty())
+        << "host_threads=" << host_threads << ": "
+        << collector.entries().size() << " records leaked from a failed job";
+  }
+}
+
 TEST_F(MapReduceTest, EmptyInputYieldsEmptyOutput) {
   Relation rel(MakeAnonymousSchema(1));
   Engine engine(DefaultConfig(), &dfs_);

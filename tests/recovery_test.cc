@@ -203,65 +203,17 @@ TEST(RecoveryTest, RejectedRecoveryStatusCarriesReason) {
       << metrics.status();
 }
 
-TEST(RecoveryTest, ImbalanceAlertFiresOnSkewedPartitions) {
-  // One dominant key under hash partitioning: the max/mean reduce-input
-  // ratio far exceeds a threshold just above perfect balance.
-  Relation rel = GenMonotonicSkew(4000, 1, 0.7, 1000, 83);
-  EngineConfig config = TestConfig();
-  config.reducer_imbalance_alert_threshold = 1.5;
-  DistributedFileSystem dfs;
-  Engine engine(config, &dfs);
-
-  JobSpec spec;
-  spec.mapper_factory = [] { return std::make_unique<TokenMapper>(); };
-  spec.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  VectorOutputCollector collector;
-  auto metrics = engine.Run(spec, rel, &collector);
-  ASSERT_TRUE(metrics.ok()) << metrics.status();
-  EXPECT_EQ(metrics->reducer_imbalance_alerts, 1);
-  EXPECT_GT(metrics->ReducerImbalance(), 1.5);
-}
-
 // ---- Backoff helper --------------------------------------------------------
 
 TEST(BackoffTest, GrowsExponentiallyAndClampsAtCap) {
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 60.0, 0.0, 1, 1,
-                                       TaskKind::kMap, 0, 0),
-                   0.5);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 60.0, 0.0, 1, 1,
-                                       TaskKind::kMap, 0, 1),
-                   1.0);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 60.0, 0.0, 1, 1,
-                                       TaskKind::kMap, 0, 4),
-                   8.0);
-  // 0.5 * 2^10 = 512 clamps to the 60 s cap; cap <= 0 disables clamping.
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 60.0, 0.0, 1, 1,
-                                       TaskKind::kMap, 0, 10),
-                   60.0);
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 0.0, 0.0, 1, 1,
-                                       TaskKind::kMap, 0, 10),
-                   512.0);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 0), 0.5);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 1), 1.0);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 4), 8.0);
+  // 0.5 * 2^10 = 512 clamps to the fixed 60 s cap.
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.5, 10), kRetryBackoffCapSeconds);
+  EXPECT_DOUBLE_EQ(kRetryBackoffCapSeconds, 60.0);
   // Non-positive base disables backoff entirely.
-  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.0, 60.0, 0.5, 1, 1,
-                                       TaskKind::kMap, 0, 3),
-                   0.0);
-}
-
-TEST(BackoffTest, JitterStaysInBandAndIsDeterministic) {
-  const double base = 1.0;
-  bool any_off_center = false;
-  for (int task = 0; task < 32; ++task) {
-    const double delay = RetryBackoffSeconds(base, 60.0, 0.25, 99, 7,
-                                             TaskKind::kReduce, task, 0);
-    EXPECT_GE(delay, base * 0.75);
-    EXPECT_LT(delay, base * 1.25);
-    if (delay != base) any_off_center = true;
-    // Same coordinates, same jitter draw.
-    EXPECT_DOUBLE_EQ(delay,
-                     RetryBackoffSeconds(base, 60.0, 0.25, 99, 7,
-                                         TaskKind::kReduce, task, 0));
-  }
-  EXPECT_TRUE(any_off_center);
+  EXPECT_DOUBLE_EQ(RetryBackoffSeconds(0.0, 3), 0.0);
 }
 
 // ---- OOM-pressure injection grid -------------------------------------------

@@ -297,20 +297,13 @@ TEST(ShuffleFastPathTest, SegmentOutlivesSourceBufferAcrossCombinePass) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-producer budget shares (EngineConfig::map_producers_per_machine).
-//
-// With producer sub-tasks, each producer's ShuffleBuffer is sized
-// memory_budget_bytes / producers so the *sum* of a machine's live producer
-// buffers never exceeds its budget — the latent combine_headroom_fraction
-// interaction: sizing every producer at the full machine budget would let a
-// machine hold producers × budget in memory and silently skip spills the
-// cost model is supposed to charge. These tests pin that schedule.
+// The map-side spill schedule is a pure function of (config, seed).
 // ---------------------------------------------------------------------------
 
 /// Emits one record per row in the first half of the input, with a fat value
 /// and globally distinct keys (no combining possible); the second half emits
-/// nothing. With producers=2 the first sub-range carries all the bytes, so
-/// the spill schedule directly reveals which budget each producer was given.
+/// nothing, so the spill schedule depends on where in the split the bytes
+/// arrive.
 class FrontLoadedMapper : public Mapper {
  public:
   Status Map(const RelationView& input, int64_t row,
@@ -343,51 +336,27 @@ JobSpec FrontLoadedJob() {
   return spec;
 }
 
-Result<JobMetrics> RunFrontLoaded(int producers, int host_threads) {
-  // One machine, 1000 rows: ~500 × (key + 80 B) ≈ 45 KiB of map output, all
-  // of it in the first producer's sub-range.
+Result<JobMetrics> RunFrontLoaded(int host_threads) {
+  // Two machines, 1000 rows: each emits ~250 × (key + 80 B) ≈ 23 KiB of map
+  // output against a 16 KiB budget, so both spill.
   Relation rel = GenUniform(1000, 1, 10, /*seed=*/771);
   DistributedFileSystem dfs;
   EngineConfig config;
-  config.num_workers = 1;
-  config.memory_budget_bytes = 64 << 10;
+  config.num_workers = 2;
+  config.memory_budget_bytes = 16 << 10;
   config.network_bandwidth_bytes_per_sec = 0;
-  config.map_producers_per_machine = producers;
   config.host_threads = host_threads;
   Engine engine(config, &dfs);
   NullOutputCollector sink;
   return engine.Run(FrontLoadedJob(), rel, &sink);
 }
 
-TEST(ProducerBudgetTest, ProducersShareTheMachineBudget) {
-  // The whole machine's output fits the machine budget: one producer, no
-  // spill.
-  auto whole = RunFrontLoaded(/*producers=*/1, /*host_threads=*/0);
-  ASSERT_TRUE(whole.ok());
-  EXPECT_EQ(whole->spill_bytes, 0)
-      << "test invalid: output no longer fits the machine budget";
-
-  // Split across two producers, the first sub-range's bytes exceed a *half*
-  // budget: the first producer must spill. If this stops spilling, producers
-  // are being sized at the full machine budget again — their live buffers
-  // would sum to 2× the machine's memory.
-  auto split = RunFrontLoaded(/*producers=*/2, /*host_threads=*/0);
-  ASSERT_TRUE(split.ok());
-  EXPECT_GT(split->spill_bytes, 0)
-      << "producer buffers no longer share memory_budget_bytes";
-
-  // Whatever the schedule, the shuffled data itself is unchanged.
-  EXPECT_EQ(split->shuffle_records, whole->shuffle_records);
-  EXPECT_EQ(split->shuffle_bytes, whole->shuffle_bytes);
-  EXPECT_EQ(split->output_records, whole->output_records);
-}
-
 TEST(ProducerBudgetTest, SpillScheduleIsBitIdenticalAcrossHostThreads) {
   // The spill/combine schedule is a pure function of (config, seed): the
   // serial pool and a 4-thread pool with stealing must reproduce it
   // byte-for-byte, spills included.
-  auto serial = RunFrontLoaded(/*producers=*/2, /*host_threads=*/0);
-  auto threaded = RunFrontLoaded(/*producers=*/2, /*host_threads=*/4);
+  auto serial = RunFrontLoaded(/*host_threads=*/0);
+  auto threaded = RunFrontLoaded(/*host_threads=*/4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   EXPECT_GT(serial->spill_bytes, 0) << "test invalid: nothing spilled";

@@ -1,15 +1,13 @@
 // The threaded half of the concurrency contracts (docs/INTERNALS.md §12):
 // with EngineConfig::host_threads > 1 the simulated machines' tasks run on
-// the seeded work-stealing TaskPool (common/task_pool.h) — including
-// stealable map producer sub-tasks when map_producers_per_machine > 1 —
-// and (a) every algorithm must still reproduce the in-memory reference
-// cube bit-for-bit, fault plan or not, and (b) a threaded or
-// work-stealing run must be indistinguishable from the same-seed serial
-// run in everything the model reports — cube bytes on the DFS, user
-// counters, and all modeled (non-measured) metrics. This binary is the
-// TSan payload of tools/check_all.sh's tsan-threaded-grid stage: any data
-// race in the pool's deques, the engine's fan-out paths, the shared
-// collectors, or the DFS surfaces here under -fsanitize=thread.
+// the seeded work-stealing TaskPool (common/task_pool.h), and (a) every
+// algorithm must still reproduce the in-memory reference cube
+// bit-for-bit, fault plan or not, and (b) a threaded run must be
+// indistinguishable from the same-seed serial run in everything the model
+// reports — cube bytes on the DFS, user counters, and all modeled
+// (non-measured) metrics. Under the tsan preset any data race in the
+// pool's deques, the engine's fan-out paths and per-partition result
+// slots, the shared collectors, or the DFS surfaces here.
 
 #include <gtest/gtest.h>
 
@@ -86,16 +84,12 @@ std::vector<Config> MakeGrid() {
 
 /// `host_threads` 0 runs serial; > 1 runs the work-stealing pool (pinned
 /// to a fixed count so the grid behaves the same on any host).
-/// `producers` > 1 additionally splits each machine's map task into that
-/// many stealable sub-tasks — the "stolen" execution mode.
-EngineConfig MakeCluster(const Config& config, int host_threads,
-                         int producers = 1) {
+EngineConfig MakeCluster(const Config& config, int host_threads) {
   EngineConfig cluster;
   cluster.num_workers = config.workers;
   cluster.memory_budget_bytes = int64_t{1} << (10 + 2 * config.budget_shift);
   cluster.network_bandwidth_bytes_per_sec = 0;
   cluster.host_threads = host_threads;
-  cluster.map_producers_per_machine = producers;
   return cluster;
 }
 
@@ -125,8 +119,7 @@ TEST_P(ThreadedDifferentialTest, ThreadedRunsMatchReference) {
   AlgorithmSet algorithms;
   for (CubeAlgorithm* algorithm : algorithms.All()) {
     DistributedFileSystem dfs;
-    Engine engine(MakeCluster(config, /*host_threads=*/4, /*producers=*/2),
-                  &dfs);
+    Engine engine(MakeCluster(config, /*host_threads=*/4), &dfs);
     CubeRunOptions options;
     options.aggregate = kind;
     auto output = algorithm->Run(engine, rel, options);
@@ -172,8 +165,7 @@ TEST_P(ThreadedFaultedTest, ThreadedRecoveryIsExact) {
   for (CubeAlgorithm* algorithm :
        std::initializer_list<CubeAlgorithm*>{&sp, &mrcube}) {
     FaultPlan plan(chaos);
-    EngineConfig cluster =
-        MakeCluster(config, /*host_threads=*/4, /*producers=*/2);
+    EngineConfig cluster = MakeCluster(config, /*host_threads=*/4);
     cluster.fault_plan = &plan;
     cluster.min_task_attempts = 3;
     cluster.retry_backoff_seconds = 0.01;
@@ -225,7 +217,6 @@ std::string ModeledMetricsFingerprint(const RunMetrics& metrics) {
     fp += ",split=" + std::to_string(round.reduce_partitions_split);
     fp += ",rr=" + std::to_string(round.recovery_rounds);
     fp += ",rb=" + std::to_string(round.recovery_bytes_reshuffled);
-    fp += ",alerts=" + std::to_string(round.reducer_imbalance_alerts);
     for (size_t r = 0; r < round.reducer_input_records.size(); ++r) {
       fp += ",r" + std::to_string(r) + "=" +
             std::to_string(round.reducer_input_records[r]) + "/" +
@@ -267,15 +258,13 @@ struct DeterminismProbe {
 
 Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
                                   const Config& config, const Relation& rel,
-                                  int host_threads, int producers,
-                                  FaultConfig* chaos) {
-  EngineConfig cluster = MakeCluster(config, host_threads, producers);
+                                  int host_threads, FaultConfig* chaos) {
+  EngineConfig cluster = MakeCluster(config, host_threads);
   FaultPlan plan(chaos != nullptr ? *chaos : FaultConfig{});
   if (chaos != nullptr) {
     cluster.fault_plan = &plan;
     cluster.min_task_attempts = 3;
     cluster.retry_backoff_seconds = 0.01;
-    cluster.retry_backoff_jitter = 0.3;
   }
   DistributedFileSystem dfs;
   Engine engine(cluster, &dfs);
@@ -294,17 +283,11 @@ Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
   return probe;
 }
 
-/// Same seed, same config: serial, threaded, and work-stealing runs must
-/// agree on the cube (as text), the bytes written to the DFS, the user
-/// counters and every modeled metric — scheduling must be unobservable
-/// (CLAUDE.md's determinism convention). The sweep compares a serial run
-/// against a pool run at each producer count: producers=1 is the plain
-/// threaded mode (machine tasks stealable), producers=3 is the stolen mode
-/// (map sub-tasks fan out via RunNested and get stolen across machines).
-/// map_producers_per_machine is part of the simulated config — it changes
-/// the combine/spill schedule — so each comparison pins it on both sides.
-/// Checked clean and under chaos with backoff jitter, whose Rng is keyed
-/// on (seed, job, task, attempt) exactly so this holds.
+/// Same seed, same config: serial and work-stealing pool runs must agree
+/// on the cube (as text), the bytes written to the DFS, the user counters
+/// and every modeled metric — scheduling must be unobservable
+/// (docs/INTERNALS.md §14). Checked clean and under chaos with retry
+/// backoff.
 TEST(ThreadedDeterminismTest, SerialThreadedAndStolenRunsAreIndistinguishable) {
   Config config;
   config.distribution = 2;
@@ -329,36 +312,32 @@ TEST(ThreadedDeterminismTest, SerialThreadedAndStolenRunsAreIndistinguishable) {
     for (FaultConfig* plan :
          std::initializer_list<FaultConfig*>{nullptr, &chaos}) {
       const char* mode = plan == nullptr ? "clean" : "chaos";
-      for (int producers : {1, 3}) {
-        auto serial = RunProbe(algorithm, config, rel, /*host_threads=*/0,
-                               producers, plan);
-        ASSERT_TRUE(serial.ok()) << algorithm->name() << ": "
-                                 << serial.status();
-        auto pooled = RunProbe(algorithm, config, rel, /*host_threads=*/4,
-                               producers, plan);
-        ASSERT_TRUE(pooled.ok()) << algorithm->name() << ": "
-                                 << pooled.status();
-        std::string diff;
-        EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
-                                            /*tolerance=*/0.0, &diff))
-            << algorithm->name() << " (" << mode << ", producers="
-            << producers << "): cube diverged:\n"
-            << diff;
-        EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp)
-            << algorithm->name() << " (" << mode << ", producers="
-            << producers << "): DFS bytes diverged";
-        EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
-            << algorithm->name() << " (" << mode << ", producers="
-            << producers << "): modeled metrics diverged";
-      }
+      auto serial =
+          RunProbe(algorithm, config, rel, /*host_threads=*/0, plan);
+      ASSERT_TRUE(serial.ok()) << algorithm->name() << ": "
+                               << serial.status();
+      auto pooled =
+          RunProbe(algorithm, config, rel, /*host_threads=*/4, plan);
+      ASSERT_TRUE(pooled.ok()) << algorithm->name() << ": "
+                               << pooled.status();
+      std::string diff;
+      EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
+                                          /*tolerance=*/0.0, &diff))
+          << algorithm->name() << " (" << mode << "): cube diverged:\n"
+          << diff;
+      EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp)
+          << algorithm->name() << " (" << mode << "): DFS bytes diverged";
+      EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
+          << algorithm->name() << " (" << mode
+          << "): modeled metrics diverged";
     }
   }
 }
 
 /// The compressed spill path (docs/INTERNALS.md §13) under the same probe:
 /// a tight budget pushes SP-Cube's shuffle through delta-encoded spill runs
-/// written and merged on worker threads, and threaded and stolen runs must
-/// agree with the serial run in the cube bytes, user counters and every
+/// written and merged on worker threads, and a threaded run must agree
+/// with the serial run in the cube bytes, user counters and every
 /// modeled metric. TSan covers the spill codec via this test.
 TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
   Config config;
@@ -382,28 +361,19 @@ TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
   for (FaultConfig* plan :
        std::initializer_list<FaultConfig*>{nullptr, &chaos}) {
     const char* mode = plan == nullptr ? "clean" : "chaos";
-    // Producer count is part of the simulated config (it changes the
-    // combine/spill schedule, and with avg the low-order float bits), so
-    // each comparison pins it on both sides.
-    for (int producers : {1, 3}) {
-      auto serial = RunProbe(&algorithm, config, rel, /*host_threads=*/0,
-                             producers, plan);
-      ASSERT_TRUE(serial.ok()) << mode << ": " << serial.status();
-      auto pooled = RunProbe(&algorithm, config, rel, /*host_threads=*/4,
-                             producers, plan);
-      ASSERT_TRUE(pooled.ok()) << mode << ": " << pooled.status();
-      std::string diff;
-      EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
-                                          /*tolerance=*/0.0, &diff))
-          << mode << " producers=" << producers
-          << ": cube diverged from serial run:\n"
-          << diff;
-      EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp)
-          << mode << " producers=" << producers << ": DFS bytes diverged";
-      EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
-          << mode << " producers=" << producers
-          << ": modeled metrics diverged";
-    }
+    auto serial = RunProbe(&algorithm, config, rel, /*host_threads=*/0, plan);
+    ASSERT_TRUE(serial.ok()) << mode << ": " << serial.status();
+    auto pooled = RunProbe(&algorithm, config, rel, /*host_threads=*/4, plan);
+    ASSERT_TRUE(pooled.ok()) << mode << ": " << pooled.status();
+    std::string diff;
+    EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
+                                        /*tolerance=*/0.0, &diff))
+        << mode << ": cube diverged from serial run:\n"
+        << diff;
+    EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp)
+        << mode << ": DFS bytes diverged";
+    EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
+        << mode << ": modeled metrics diverged";
   }
 }
 
@@ -442,12 +412,12 @@ TEST(ThreadedDeterminismTest, DriftBatchesMatchAcrossThreadsAndCompression) {
     for (CubeAlgorithm* algorithm :
          std::initializer_list<CubeAlgorithm*>{&sp, &hive}) {
       auto baseline = RunProbe(algorithm, config, rel, /*host_threads=*/0,
-                               /*producers=*/1, /*chaos=*/nullptr);
+                               /*chaos=*/nullptr);
       ASSERT_TRUE(baseline.ok()) << algorithm->name() << " batch=" << batch
                                  << ": " << baseline.status();
       for (int host_threads : {2, 4}) {
-        auto probe = RunProbe(algorithm, config, rel, host_threads,
-                              /*producers=*/1, /*chaos=*/nullptr);
+        auto probe =
+            RunProbe(algorithm, config, rel, host_threads, /*chaos=*/nullptr);
         ASSERT_TRUE(probe.ok()) << algorithm->name() << " batch=" << batch
                                 << ": " << probe.status();
         std::string diff;
@@ -464,34 +434,6 @@ TEST(ThreadedDeterminismTest, DriftBatchesMatchAcrossThreadsAndCompression) {
             << host_threads << ": modeled metrics diverged";
       }
     }
-  }
-}
-
-/// Splitting a machine's map task into producers must not change the cube
-/// itself (only the combine/spill schedule): the stolen run's cube still
-/// matches the single-producer serial cube to aggregation tolerance.
-TEST(ThreadedDeterminismTest, ProducerSplitPreservesTheCube) {
-  Config config;
-  config.distribution = 1;  // zipf
-  config.num_dims = 3;
-  config.workers = 4;
-  config.budget_shift = 1;
-  config.aggregate = 1;  // sum
-  config.seed = 1717;
-  const Relation rel = MakeRelation(config);
-  const CubeResult reference =
-      ComputeCubeReference(rel, static_cast<AggregateKind>(config.aggregate));
-
-  SpCubeAlgorithm sp;
-  for (int producers : {2, 4}) {
-    auto stolen = RunProbe(&sp, config, rel, /*host_threads=*/4, producers,
-                           /*chaos=*/nullptr);
-    ASSERT_TRUE(stolen.ok()) << stolen.status();
-    std::string diff;
-    EXPECT_TRUE(
-        CubeResult::ApproxEqual(reference, *stolen->cube, 1e-6, &diff))
-        << "producers=" << producers << ":\n"
-        << diff;
   }
 }
 

@@ -660,7 +660,7 @@ METRIC_FIELD_NAMES = (
     r"tasks_reexecuted_after_crash|workers_crashed|"
     r"tasks_speculatively_reexecuted|shuffle_checksum_mismatches|"
     r"reduce_partitions_split|recovery_rounds|recovery_bytes_reshuffled|"
-    r"reducer_imbalance_alerts|custom_counters|per_worker_seconds|"
+    r"custom_counters|per_worker_seconds|"
     r"\w+_seconds")
 METRIC_SINK_RE = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*(?:\[[^\]]*\])?\s*"

@@ -13,10 +13,10 @@
 #   4. chaos                             (OOM-injection / drift / recovery
 #                                         grid under the asan-ubsan preset
 #                                         with lifetime checks forced on)
-#   5. tsan-threaded-grid                (work-stealing pool contracts +
-#                                         threaded differential grid +
-#                                         serial/threaded/stolen determinism
-#                                         probe under the tsan preset)
+#   5. tsan-threaded-grid                (the whole ctest suite under the
+#                                         tsan preset: pool contracts,
+#                                         threaded differential grid,
+#                                         serial/threaded determinism probe)
 #   6. sanitizers                        (tools/run_sanitizers.sh)
 #
 # Runs all stages even after a failure and finishes with a summary table,
@@ -141,18 +141,20 @@ chaos_grid() {
       --output-on-failure -j "$(nproc)"
 }
 
-# The concurrency-contracts gate (docs/INTERNALS.md §12): the work-stealing
-# pool's own contracts (tests/task_pool_test.cc), the threaded differential
-# grid and the serial/threaded/stolen determinism probe
-# (tests/threading_test.cc) under ThreadSanitizer. Any data race in the
-# pool's deques, the engine's producer hand-off, the shared collectors or
-# the DFS fails here; under --fast only this dynamic half is skipped — the
-# analyzer's concurrency rules still run in the static-analysis stage.
+# The concurrency-contracts gate (docs/INTERNALS.md §12): the whole test
+# suite under ThreadSanitizer — the work-stealing pool's own contracts
+# (tests/task_pool_test.cc), the threaded differential grid and the
+# serial/threaded determinism probe (tests/threading_test.cc), and every
+# other test whose config runs the engine on more than one host thread
+# (host_threads defaults to the host's cores). Any data race in the pool's
+# deques, the engine's per-partition result slots, a test's shared
+# factories or collectors, or the DFS fails here; under --fast only this
+# dynamic half is skipped — the analyzer's concurrency rules still run in
+# the static-analysis stage.
 tsan_threaded_grid() {
   cmake --preset tsan >/dev/null &&
-    cmake --build build-tsan -j "$(nproc)" \
-      --target threading_test task_pool_test &&
-    ctest --test-dir build-tsan -R 'Threaded|TaskPool' --output-on-failure
+    cmake --build build-tsan -j "$(nproc)" &&
+    ctest --test-dir build-tsan --output-on-failure -j "$(nproc)"
 }
 
 run_stage "build+test" build_and_test

@@ -390,15 +390,14 @@ int RealMain(int argc, char** argv) {
 
   {
     const RunMetrics& m = output->metrics;
-    if (m.ReducePartitionsSplit() > 0 || m.ReducerImbalanceAlerts() > 0) {
+    if (m.ReducePartitionsSplit() > 0) {
       std::printf(
           "recovery: %lld partitions split (%lld rounds, %lld bytes "
-          "re-shuffled, %.3f s), %lld imbalance alerts\n",
+          "re-shuffled, %.3f s)\n",
           static_cast<long long>(m.ReducePartitionsSplit()),
           static_cast<long long>(m.RecoveryRounds()),
           static_cast<long long>(m.RecoveryBytesReshuffled()),
-          m.RecoverySeconds(),
-          static_cast<long long>(m.ReducerImbalanceAlerts()));
+          m.RecoverySeconds());
     }
   }
 

@@ -112,44 +112,17 @@ class GroupValueStream : public ValueStream {
   GroupedRecordStream* stream_;
 };
 
-/// GroupedRecordStream over key-sorted in-memory records: the split
-/// recovery's merge round reads the sub-partitions' partial outputs
-/// through it.
-class SortedRecordStream : public GroupedRecordStream {
- public:
-  explicit SortedRecordStream(const std::vector<Record>& records)
-      : records_(records) {}
-
-  Result<bool> NextGroup(std::string* key) override {
-    pos_ = group_end_;
-    if (pos_ >= records_.size()) return false;
-    group_end_ = pos_ + 1;
-    while (group_end_ < records_.size() &&
-           records_[group_end_].key == records_[pos_].key) {
-      ++group_end_;
-    }
-    key->assign(records_[pos_].key);
-    return true;
-  }
-
-  Result<bool> NextValue(std::string* value) override {
-    if (pos_ >= group_end_) return false;
-    value->assign(records_[pos_].value);
-    ++pos_;
-    return true;
-  }
-
- private:
-  const std::vector<Record>& records_;
-  size_t pos_ = 0;
-  size_t group_end_ = 0;
-};
-
 /// Buffers a reduce attempt's output and publishes it only on success, so
 /// failed attempts (which are retried from scratch) leave no trace in the
 /// job output — the commit protocol of a real MapReduce runtime.
 class EngineReduceContext : public ReduceContext {
  public:
+  /// `expected_outputs` pre-sizes the commit buffer when the caller knows
+  /// the output count, sparing its grow-and-copy steps.
+  explicit EngineReduceContext(size_t expected_outputs) {
+    pending_.reserve(expected_outputs);
+  }
+
   Status Output(std::string_view key, std::string_view value) override {
     // spcube-lint: allow(no-owning-copy-in-hot-path): attempt-private commit buffer must own its bytes past the reducer's scratch lifetime
     pending_.push_back(Record{std::string(key), std::string(value)});
@@ -596,14 +569,15 @@ void PlaceReduceTasks(RoundState& round) {
 /// transient failure: the attempt dies after inject->fail_after_items
 /// groups, or before Finish if the input runs out first. Output and
 /// counters reach `out` and `counters` only if the whole attempt succeeds.
+/// `expected_outputs` (0 if unknown) pre-sizes the output buffer.
 Status RunReducer(const RoundState& round, int p, int machine,
                   const ReducerFactory& factory, GroupedRecordStream* stream,
-                  const TaskFault* inject, std::vector<Record>* out,
-                  CounterMap* counters) {
+                  const TaskFault* inject, size_t expected_outputs,
+                  std::vector<Record>* out, CounterMap* counters) {
   std::unique_ptr<Reducer> reducer = factory();
   if (reducer == nullptr) return Status::Internal("reducer factory failed");
   SPCUBE_RETURN_IF_ERROR(reducer->Setup(round.Task(machine, p)));
-  EngineReduceContext context;
+  EngineReduceContext context(expected_outputs);
   std::string key;
   int64_t groups = 0;
   for (;;) {
@@ -626,12 +600,15 @@ Status RunReducer(const RoundState& round, int p, int machine,
 
 /// Adaptive split recovery (RecoverySpec, docs/INTERNALS.md §11). Reduces
 /// `input` under `budget`; on a strict OOM splits it into salted
-/// sub-partitions (recursively, up to max_split_depth), reduces each, and
-/// merges the partial final outputs with the job's merge reducer — legal
-/// only under the RecoverySpec contract (unique output keys per group,
-/// associative merge closed over final values). Degradation cost (one
-/// backoff per split plus the re-scatter transfer) is charged to `state`;
-/// the merged output is appended to `out`.
+/// sub-partitions (recursively, up to max_split_depth) and reduces each.
+/// Degradation cost (one backoff per split plus the re-scatter transfer) is
+/// charged to `state`. A call at depth > 0 appends its leaves' partial
+/// outputs to `out` (its caller's vector), in leaf (DFS) order; only the
+/// depth-0 call merges, once, over every leaf's partials with the job's
+/// merge reducer — exact only under the RecoverySpec contract (unique
+/// output keys per group, associative merge closed over final values) —
+/// and appends the merged output to `out`. An input that fits at depth 0
+/// is reduced straight into `out`.
 Status ReduceWithSplit(const RoundState& round, int p, int machine,
                        const ReduceInput& input, int64_t budget, int depth,
                        ReduceTaskState* state, std::vector<Record>* out) {
@@ -645,7 +622,8 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
       &state->shuffle_counters, round.plan, resource_prefix);
   if (stream.ok()) {
     return RunReducer(round, p, machine, spec.reducer_factory, stream->get(),
-                      /*inject=*/nullptr, out, &state->custom_counters);
+                      /*inject=*/nullptr, /*expected_outputs=*/0, out,
+                      &state->custom_counters);
   }
   if (!stream.status().IsResourceExhausted()) return stream.status();
   if (depth >= spec.recovery.max_split_depth) {
@@ -684,12 +662,13 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
   state->penalty_seconds += charge;
   state->recovery_seconds += charge;
 
-  std::vector<Record> partials;
+  std::vector<Record> leaf_partials;
+  std::vector<Record>* partials = depth == 0 ? &leaf_partials : out;
   Status sub_status = Status::OK();
   for (const ReduceInput& sub : subs) {
     if (sub.total_records == 0) continue;
     sub_status = ReduceWithSplit(round, p, machine, sub, budget, depth + 1,
-                                 state, &partials);
+                                 state, partials);
     if (!sub_status.ok()) break;
   }
   // The sub-partition run files are recovery-private; reclaim the disk
@@ -698,18 +677,18 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
     for (const RunInfo& run : sub.spill_runs) RemoveFileIfExists(run.path);
   }
   SPCUBE_RETURN_IF_ERROR(sub_status);
+  if (depth > 0) return Status::OK();
 
-  // Merge round: partial outputs of the same key re-group and the merge
-  // reducer restores the unsplit value. The stable sort keeps values in
-  // sub-partition order within a key, so merge input order (and thus any
-  // floating-point evaluation order) is deterministic.
-  std::stable_sort(
-      partials.begin(), partials.end(),
-      [](const Record& a, const Record& b) { return a.key < b.key; });
-  SortedRecordStream merge_input(partials);
+  // The one merge round: every leaf's partial outputs re-group by key and
+  // the merge reducer restores the unsplit values. Within a key, values
+  // arrive in leaf order, so merge input order (and thus any
+  // floating-point evaluation order) is deterministic. Output keys are
+  // unique per group (the RecoverySpec contract), so the merge emits at
+  // most one record per group.
+  SortedRecordStream merge_input(leaf_partials);
   return RunReducer(round, p, machine, spec.recovery.merge_reducer_factory,
-                    &merge_input, /*inject=*/nullptr, out,
-                    &state->custom_counters);
+                    &merge_input, /*inject=*/nullptr, merge_input.num_groups(),
+                    out, &state->custom_counters);
 }
 
 /// Runs reduce partition `p` to completion (with retries and, when the job
@@ -761,7 +740,8 @@ Status ReducePartition(RoundState& round, int p) {
         stream.ok()
             ? RunReducer(round, p, machine, spec.reducer_factory,
                          stream->get(), inject_failure ? &fault : nullptr,
-                         &state.output, &state.custom_counters)
+                         /*expected_outputs=*/0, &state.output,
+                         &state.custom_counters)
             : stream.status();
     if (last_error.ok()) {
       succeeded = true;

@@ -70,25 +70,35 @@ uint64_t KeyPrefix(std::string_view key) {
   return prefix;
 }
 
-/// Fills `items` with one entry per ref and sorts by (prefix, full key,
-/// emission index) — the same total order as a stable sort by key.
-void SortRefs(const std::vector<ShuffleRecordRef>& refs,
-              std::vector<ShuffleSortItem>* items) {
-  items->resize(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
+/// Fills `items` with one entry per record, `key_at(i)` being record i's
+/// key, and sorts by (prefix, full key, index) — the same total order as a
+/// stable sort by key. The one sort of the shuffle: spills, in-memory
+/// reduce streams, split scatter and the split merge round all use it.
+template <typename KeyAt>
+void SortByKey(size_t n, const KeyAt& key_at,
+               std::vector<ShuffleSortItem>* items) {
+  SPCUBE_CHECK(n <= UINT32_MAX) << "too many records to sort: " << n;
+  items->resize(n);
+  for (size_t i = 0; i < n; ++i) {
     (*items)[i] =
-        ShuffleSortItem{KeyPrefix(refs[i].key()), static_cast<uint32_t>(i)};
+        ShuffleSortItem{KeyPrefix(key_at(i)), static_cast<uint32_t>(i)};
   }
   std::sort(items->begin(), items->end(),
-            [&refs](const ShuffleSortItem& a, const ShuffleSortItem& b) {
+            [&key_at](const ShuffleSortItem& a, const ShuffleSortItem& b) {
               if (a.key_prefix != b.key_prefix) {
                 return a.key_prefix < b.key_prefix;
               }
-              const int cmp =
-                  refs[a.index].key().compare(refs[b.index].key());
+              const int cmp = std::string_view(key_at(a.index))
+                                  .compare(std::string_view(key_at(b.index)));
               if (cmp != 0) return cmp < 0;
               return a.index < b.index;
             });
+}
+
+void SortRefs(const std::vector<ShuffleRecordRef>& refs,
+              std::vector<ShuffleSortItem>* items) {
+  SortByKey(
+      refs.size(), [&refs](size_t i) { return refs[i].key(); }, items);
 }
 
 /// Streams refs in `order` as one spill run, delta-encoding records into
@@ -627,6 +637,41 @@ class MergingGroupedStream : public GroupedRecordStream {
 };
 
 }  // namespace
+
+SortedRecordStream::SortedRecordStream(const std::vector<Record>& records)
+    : records_(records) {
+  std::vector<ShuffleSortItem> items;
+  SortByKey(
+      records_.size(),
+      [this](size_t i) -> const std::string& { return records_[i].key; },
+      &items);
+  order_.reserve(items.size());
+  for (const ShuffleSortItem& item : items) {
+    const std::string& key = records_[item.index].key;
+    if (order_.empty() || key != KeyAt(order_.size() - 1)) ++num_groups_;
+    order_.push_back(item.index);
+  }
+}
+
+Result<bool> SortedRecordStream::NextGroup(std::string* key) {
+  const size_t pos = group_end_;
+  if (pos >= order_.size()) return false;
+  const std::string& group = KeyAt(pos);
+  key->assign(group);
+  group_end_ = pos + 1;
+  while (group_end_ < order_.size() && KeyAt(group_end_) == group) {
+    ++group_end_;
+  }
+  value_pos_ = pos;
+  return true;
+}
+
+Result<bool> SortedRecordStream::NextValue(std::string* value) {
+  if (value_pos_ >= group_end_) return false;
+  value->assign(records_[order_[value_pos_]].value);
+  ++value_pos_;
+  return true;
+}
 
 Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     ReduceInput input, int64_t memory_budget_bytes, MemoryPolicy policy,

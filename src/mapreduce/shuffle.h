@@ -393,6 +393,35 @@ class GroupedRecordStream {
   virtual Result<bool> NextValue(std::string* value) = 0;
 };
 
+/// Groups owned records by key: split recovery's merge round (engine.cc)
+/// reads every leaf's partial outputs through it. Iterates `records` in
+/// the shuffle's (8-byte key prefix, full key, index) order — keys in
+/// std::string order, equal keys in `records` order — without moving a
+/// record. `records` must outlive the stream and stay unmodified.
+class SortedRecordStream : public GroupedRecordStream {
+ public:
+  explicit SortedRecordStream(const std::vector<Record>& records);
+
+  Result<bool> NextGroup(std::string* key) override;
+  Result<bool> NextValue(std::string* value) override;
+
+  /// Distinct keys among `records`.
+  size_t num_groups() const { return num_groups_; }
+
+ private:
+  const std::string& KeyAt(size_t sorted_pos) const {
+    return records_[order_[sorted_pos]].key;
+  }
+
+  const std::vector<Record>& records_;
+  /// Record indices in sorted order: the sort's items minus their key
+  /// prefixes, a quarter of their size while the merge reducer runs.
+  std::vector<uint32_t> order_;
+  size_t num_groups_ = 0;
+  size_t group_end_ = 0;
+  size_t value_pos_ = 0;
+};
+
 /// Inputs for building a reduce-side stream. `memory_segments` are unsorted
 /// in-memory sources.
 struct ReduceInput {

@@ -10,7 +10,8 @@ when clang.cindex and a libclang shared library are importable), pinning
 the two backends to identical findings.
 
 The acceptance gates beyond the fixtures:
-  * the real src/ tree produces zero findings (the per-PR gate), and
+  * the real src/ and tests/ trees (minus fixtures/) produce zero findings
+    (the per-PR gate), and
   * the seeded dangling-view bug (dangling_segment_view.cc) is reported by
     the static analyzer — its dynamic twin lives in tests/lifetime_test.cc,
     which replays the same sequence under SPCUBE_LIFETIME_CHECKS.
@@ -237,7 +238,8 @@ def main():
         failures.append("--fast not clean on a clean fixture: %s %s"
                         % (proc.returncode, findings))
 
-    # The real src/ tree must be clean: the acceptance gate for every PR.
+    # The real src/ and tests/ trees must be clean: the acceptance gate for
+    # every PR.
     for backend in backends:
         proc, findings = run_analyzer([], REPO, backend)
         if proc.returncode != 0:

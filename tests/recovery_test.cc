@@ -7,13 +7,17 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/hive.h"
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "core/sp_cube.h"
 #include "cube/cube_result.h"
+#include "cube/group_key.h"
 #include "io/dfs.h"
 #include "mapreduce/backoff.h"
 #include "mapreduce/engine.h"
@@ -145,6 +149,97 @@ TEST(RecoveryTest, RecoveryMetricsAreDeterministicAcrossReruns) {
   EXPECT_DOUBLE_EQ(a.recovery_seconds, b.recovery_seconds);
 }
 
+/// Map side of a one-round naive count cube: every row emits its 2^d
+/// projections with a partial count of 1. The cube merge reducer for
+/// count sums them into the final cell value, so it serves as the job's
+/// reducer too.
+class ProjectAllMapper : public Mapper {
+ public:
+  Status Map(const RelationView& input, int64_t row,
+             MapContext& context) override {
+    const auto tuple = input.row(row);
+    const auto num_masks =
+        static_cast<CuboidMask>(NumCuboids(input.num_dims()));
+    for (CuboidMask mask = 0; mask < num_masks; ++mask) {
+      key_.Clear();
+      GroupKey::Project(mask, tuple).EncodeTo(key_);
+      SPCUBE_RETURN_IF_ERROR(
+          context.Emit(key_.data(), EncodeCubeValueTo(1.0, value_)));
+    }
+    return Status::OK();
+  }
+
+ private:
+  ByteWriter key_;
+  ByteWriter value_;
+};
+
+/// Wraps the cube merge reducer to count its runs: one bump of
+/// "merge_rounds" per merge reducer that reaches Finish.
+class CountingMergeReducer : public Reducer {
+ public:
+  explicit CountingMergeReducer(std::unique_ptr<Reducer> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Setup(const TaskContext& task) override {
+    return inner_->Setup(task);
+  }
+  Status Reduce(const std::string& key, ValueStream& values,
+                ReduceContext& context) override {
+    return inner_->Reduce(key, values, context);
+  }
+  Status Finish(ReduceContext& context) override {
+    context.IncrementCounter("merge_rounds", 1);
+    return inner_->Finish(context);
+  }
+
+ private:
+  std::unique_ptr<Reducer> inner_;
+};
+
+TEST(RecoveryTest, SplitPartitionMergesOnceOverAllLeaves) {
+  // A strict budget several times below each partition's input forces
+  // fanout-2 split trees more than one level deep; however deep the tree,
+  // each split partition runs exactly one merge round, over every leaf's
+  // partials.
+  const Relation rel = GenUniform(3000, 2, 6, 91);
+  const CubeResult reference = ComputeCubeReference(rel, AggregateKind::kCount);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    EngineConfig config = TestConfig();
+    config.memory_budget_bytes = 4 << 10;
+    config.host_threads = threads;
+    DistributedFileSystem dfs;
+    Engine engine(config, &dfs);
+
+    JobSpec spec;
+    spec.name = "split-cube";
+    spec.memory_policy = MemoryPolicy::kStrict;
+    spec.mapper_factory = [] { return std::make_unique<ProjectAllMapper>(); };
+    spec.recovery = MakeCubeRecoverySpec(AggregateKind::kCount, 1);
+    spec.reducer_factory = spec.recovery.merge_reducer_factory;
+    spec.recovery.split_fanout = 2;
+    spec.recovery.merge_reducer_factory =
+        [merge = spec.recovery.merge_reducer_factory]() {
+          return std::make_unique<CountingMergeReducer>(merge());
+        };
+    VectorOutputCollector collector;
+    auto metrics = engine.Run(spec, rel, &collector);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+
+    EXPECT_GT(metrics->reduce_partitions_split, 0);
+    EXPECT_GT(metrics->recovery_rounds, metrics->reduce_partitions_split)
+        << "no split recursed past depth 1";
+    EXPECT_EQ(metrics->custom_counters["merge_rounds"],
+              metrics->reduce_partitions_split);
+    auto cube = CollectCube(collector, rel.num_dims());
+    ASSERT_TRUE(cube.ok()) << cube.status();
+    std::string diff;
+    EXPECT_TRUE(CubeResult::ApproxEqual(reference, *cube, 1e-9, &diff))
+        << diff;
+  }
+}
+
 TEST(RecoveryTest, DepthExhaustionSurfacesExplanatoryStatus) {
   // A budget so small that even max-depth sub-partitions overflow: the job
   // must fail with ResourceExhausted and name the exhausted knob.
@@ -229,6 +324,12 @@ struct OomGridConfig {
     return name;
   }
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// and those bytes become part of the test names CTest discovers.
+void PrintTo(const OomGridConfig& config, std::ostream* os) {
+  *os << config.Name();
+}
 
 class OomInjectionTest : public ::testing::TestWithParam<OomGridConfig> {};
 

@@ -318,6 +318,59 @@ TEST(GroupedStreamTest, EmptyInput) {
   EXPECT_FALSE((*stream)->NextGroup(&key).value());
 }
 
+TEST(SortedRecordStreamTest, GroupsInStringOrderAndKeepsRecordOrder) {
+  using namespace std::string_literals;
+  // Keys that tie on the zero-padded 8-byte sort prefix: "ab" vs "ab\0"
+  // (the padding byte equals the real one) and two 9-byte keys that differ
+  // only past the prefix. Equal keys must yield their values in record
+  // (leaf) order.
+  const std::vector<Record> records = {
+      {"ab\0"s, "1"},      {"prefix12z", "2"}, {"ab", "3"},
+      {"prefix12a", "4"}, {"ab\0"s, "5"},      {"ab", "6"},
+      {"", "7"},          {"prefix12a", "8"}, {"ab", "9"},
+  };
+  SortedRecordStream stream(records);
+  std::vector<std::pair<std::string, std::vector<std::string>>> groups;
+  std::string key;
+  std::string value;
+  for (;;) {
+    auto more = stream.NextGroup(&key);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    groups.emplace_back(key, std::vector<std::string>{});
+    for (;;) {
+      auto has_value = stream.NextValue(&value);
+      ASSERT_TRUE(has_value.ok());
+      if (!*has_value) break;
+      groups.back().second.push_back(value);
+    }
+  }
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      expected = {
+          {"", {"7"}},
+          {"ab", {"3", "6", "9"}},
+          {"ab\0"s, {"1", "5"}},
+          {"prefix12a", {"4", "8"}},
+          {"prefix12z", {"2"}},
+      };
+  EXPECT_EQ(groups, expected);
+}
+
+TEST(SortedRecordStreamTest, NextGroupSkipsUnreadValues) {
+  const std::vector<Record> records = {{"b", "9"}, {"a", "1"}, {"a", "2"}};
+  SortedRecordStream stream(records);
+  std::string key;
+  ASSERT_TRUE(stream.NextGroup(&key).value());
+  EXPECT_EQ(key, "a");
+  ASSERT_TRUE(stream.NextGroup(&key).value());
+  EXPECT_EQ(key, "b");
+  std::string value;
+  ASSERT_TRUE(stream.NextValue(&value).value());
+  EXPECT_EQ(value, "9");
+  EXPECT_FALSE(stream.NextValue(&value).value());
+  EXPECT_FALSE(stream.NextGroup(&key).value());
+}
+
 // ---- Checksums and attempt-private file lifetime ---------------------------
 
 int64_t CountFilesIn(const std::string& dir) {

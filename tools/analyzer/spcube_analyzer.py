@@ -122,8 +122,8 @@ Usage:
   tools/analyzer/spcube_analyzer.py [--root DIR] [--backend auto|internal|
       libclang] [--compile-commands PATH] [--fast] [paths...]
 
-With no paths, scans src/ under --root (the zero-copy contracts are
-library-side; bench and tool mains own their buffers). Prints findings as
+With no paths, scans src/ and tests/ under --root, skipping the golden
+fixture directories (bench and tool mains own their buffers). Prints findings as
 `path:line: [rule-id] message` and exits 1 if there were any.
 """
 
@@ -142,7 +142,10 @@ from sarif import write_sarif  # noqa: E402
 from spcube_lint import _strip_comments_and_strings  # noqa: E402
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
-DEFAULT_SCAN_DIRS = ("src",)
+DEFAULT_SCAN_DIRS = ("src", "tests")
+# Directories the default scan skips: golden fixtures hold deliberate
+# violations and are checked by their own expectations.
+DEFAULT_SKIP_DIRS = ("fixtures",)
 
 RULES = [
     "view-escape",
@@ -1482,13 +1485,14 @@ def make_backend(requested, compile_commands):
 
 def collect_paths(args_paths, root):
     paths = []
+    skip_dirs = ("build", ".git")
     if not args_paths:
         args_paths = [os.path.join(root, d) for d in DEFAULT_SCAN_DIRS]
+        skip_dirs += DEFAULT_SKIP_DIRS
     for p in args_paths:
         if os.path.isdir(p):
             for dirpath, dirnames, filenames in os.walk(p):
-                dirnames[:] = [d for d in dirnames
-                               if d not in ("build", ".git")]
+                dirnames[:] = [d for d in dirnames if d not in skip_dirs]
                 for name in sorted(filenames):
                     if name.endswith(CXX_EXTENSIONS):
                         paths.append(os.path.join(dirpath, name))
@@ -1543,8 +1547,8 @@ def main(argv):
                         help="also write the findings as SARIF 2.1.0 (for "
                              "PR annotation)")
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src/ under "
-                             "--root)")
+                        help="files or directories (default: src/ and "
+                             "tests/ under --root, minus fixtures/)")
     args = parser.parse_args(argv)
 
     if args.list_rules:

@@ -32,7 +32,7 @@ else
 fi
 
 echo
-echo "=== spcube-analyzer (lifetime & borrow contracts, src/) ==="
+echo "=== spcube-analyzer (lifetime & borrow contracts, src/ + tests/) ==="
 analyzer_args=()
 if [[ ${fast} -eq 1 ]]; then
   analyzer_args+=(--fast)

@@ -15,7 +15,12 @@
 //                 every overflow stable-sorts the buffer and streams a
 //                 CRC32C run file. Both sides do identical disk I/O; the
 //                 difference is Record sorting + per-record re-encoding
-//                 versus the slot-index sort over arena bytes.
+//                 versus the slot-index radix sort over arena bytes.
+//   spill-sort-cube
+//                 spill-sort over SP-Cube-shaped keys: GroupKey encodings
+//                 (varint mask, varint arity, zig-zag values) whose leading
+//                 values have few distinct values, so most keys tie on
+//                 their first 8 bytes and the sort must look further in.
 //
 // Wall-clock timing is host-side and legitimate here: these race two code
 // paths on identical in-memory inputs, no simulated cluster involved.
@@ -36,7 +41,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/bytes.h"
 #include "common/random.h"
+#include "cube/group_key.h"
 #include "io/spill.h"
 #include "mapreduce/api.h"
 #include "mapreduce/shuffle.h"
@@ -127,7 +134,7 @@ struct BenchRow {
 };
 
 void PrintRow(const BenchRow& row, int64_t records) {
-  std::printf("%-14s %12.2f %12.2f %9.2fx %13.3f %13.3f\n", row.name,
+  std::printf("%-16s %12.2f %12.2f %9.2fx %13.3f %13.3f\n", row.name,
               row.baseline.millis, row.arena.millis,
               row.baseline.millis / row.arena.millis,
               static_cast<double>(row.baseline.allocs) /
@@ -185,6 +192,37 @@ std::vector<EmitInput> MakeInputs(int64_t count, int64_t key_space,
     in.partition = static_cast<int>(rng.NextBounded(
         static_cast<uint64_t>(num_partitions)));
     inputs.push_back(std::move(in));
+  }
+  return inputs;
+}
+
+/// Map output shaped like SP-Cube's: a GroupKey per record, projecting a
+/// 6-dim tuple onto a random cuboid. Dims 0-2 draw from 2-4 values, dims
+/// 3-5 from 1000, so keys of one cuboid mostly share their first 8 bytes.
+std::vector<EmitInput> MakeCubeInputs(int64_t count, int num_partitions,
+                                      uint64_t seed) {
+  static constexpr uint64_t kCardinality[] = {2, 3, 4, 1000, 1000, 1000};
+  constexpr int kDims = static_cast<int>(std::size(kCardinality));
+  Rng rng(seed);
+  std::vector<EmitInput> inputs;
+  inputs.reserve(static_cast<size_t>(count));
+  ByteWriter key;
+  ByteWriter value;
+  value.PutVarint(1);
+  int64_t tuple[kDims];
+  for (int64_t i = 0; i < count; ++i) {
+    for (int d = 0; d < kDims; ++d) {
+      tuple[d] = 1000 + static_cast<int64_t>(rng.NextBounded(kCardinality[d]));
+    }
+    const auto mask =
+        static_cast<CuboidMask>(rng.NextBounded(uint64_t{1} << kDims));
+    key.Clear();
+    GroupKey::Project(mask, std::span<const int64_t>(tuple, kDims))
+        .EncodeTo(key);
+    inputs.push_back(EmitInput{
+        std::string(key.data()), std::string(value.data()),
+        static_cast<int>(rng.NextBounded(
+            static_cast<uint64_t>(num_partitions)))});
   }
   return inputs;
 }
@@ -252,7 +290,7 @@ int main(int argc, char** argv) {
   std::printf("Shuffle microbenchmarks | records=%lld, partitions=%d, "
               "best of %d\n",
               static_cast<long long>(n), partitions, reps);
-  std::printf("%-14s %12s %12s %9s %13s %13s\n", "hot path", "string-ms",
+  std::printf("%-16s %12s %12s %9s %13s %13s\n", "hot path", "string-ms",
               "arena-ms", "speedup", "str-allocs/r", "arena-allocs/r");
 
   std::vector<BenchRow> table;
@@ -286,6 +324,13 @@ int main(int argc, char** argv) {
     std::printf("  spill runs: legacy %lld B -> delta %lld B\n",
                 static_cast<long long>(row.baseline_spill_bytes),
                 static_cast<long long>(row.arena_spill_bytes));
+  }
+  {
+    // Spill path over cube keys that mostly tie on their first 8 bytes.
+    const auto inputs = MakeCubeInputs(n, partitions, 14);
+    table.push_back(RaceScenario("spill-sort-cube", inputs, partitions,
+                                 /*budget=*/64 << 10, nullptr, &temp, reps));
+    PrintRow(table.back(), n);
   }
 
   if (!json_path.empty()) {

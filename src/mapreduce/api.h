@@ -243,10 +243,11 @@ enum class MemoryPolicy : int8_t {
 /// Opt-in adaptive recovery from reduce-side memory pressure. When a
 /// kStrict reduce attempt's grouped input exceeds the (possibly
 /// fault-shrunk) budget, the engine can split the partition into
-/// `split_fanout` sub-partitions by seeded hash-salting of (group key,
-/// record ordinal) — the ordinal term scatters even a single oversized
-/// group — reduce each sub-partition independently, and merge the partial
-/// outputs with `merge_reducer_factory` in a follow-up merge round.
+/// `split_fanout` sub-partitions (SplitReduceInput: a group too big for a
+/// sub-partition's share of the budget is dealt over all of them, so even
+/// a single oversized group shrinks; smaller groups stay whole), reduce
+/// each sub-partition independently, and merge the partial outputs with
+/// `merge_reducer_factory` in a follow-up merge round.
 ///
 /// Splitting is only exact when (a) every reduce output key is emitted by
 /// at most one group per partition and (b) the merge reducer is associative

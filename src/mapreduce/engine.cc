@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/task_pool.h"
 #include "mapreduce/backoff.h"
@@ -244,7 +243,6 @@ struct RoundState {
         job_id(plan != nullptr ? plan->BeginJob(spec_in.name) : 0),
         max_attempts(std::max(
             {1, spec_in.max_task_attempts, config_in.min_task_attempts})),
-        seed(plan != nullptr ? plan->config().seed : 0),
         threaded(HostThreads(config_in) > 1),
         // Adaptive split recovery is opt-in per job and only meaningful
         // under kStrict (kSpill never OOMs): see RecoverySpec in api.h.
@@ -253,7 +251,9 @@ struct RoundState {
                          spec_in.recovery.merge_reducer_factory != nullptr),
         // The pool seed only steers steal-victim orders: results are
         // identical for any thread count (tests/threading_test.cc).
-        pool(HostThreads(config_in), seed ^ 0x9e3779b97f4a7c15ull),
+        pool(HostThreads(config_in),
+             (plan != nullptr ? plan->config().seed : 0) ^
+                 0x9e3779b97f4a7c15ull),
         map_tasks(static_cast<size_t>(num_workers)),
         alive(static_cast<size_t>(num_workers), true),
         machine_of(static_cast<size_t>(num_reducers), 0),
@@ -317,9 +317,6 @@ struct RoundState {
   FaultPlan* const plan;
   const int64_t job_id;
   const int max_attempts;
-  /// The fault seed (0 without a plan): seeds the pool's steal orders and
-  /// the split-recovery salt, never anything host-dependent.
-  const uint64_t seed;
   const bool threaded;
   const bool recovery_enabled;
   TaskPool pool;
@@ -599,8 +596,8 @@ Status RunReducer(const RoundState& round, int p, int machine,
 }
 
 /// Adaptive split recovery (RecoverySpec, docs/INTERNALS.md §11). Reduces
-/// `input` under `budget`; on a strict OOM splits it into salted
-/// sub-partitions (recursively, up to max_split_depth) and reduces each.
+/// `input` under `budget`; on a strict OOM splits it into sub-partitions
+/// (SplitReduceInput; recursively, up to max_split_depth) and reduces each.
 /// Degradation cost (one backoff per split plus the re-scatter transfer) is
 /// charged to `state`. A call at depth > 0 appends its leaves' partial
 /// outputs to `out` (its caller's vector), in leaf (DFS) order; only the
@@ -633,17 +630,13 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
                       stream.status().message());
   }
 
-  // Still over budget: scatter into sub-partitions. The salt depends only
-  // on stable coordinates, so threaded and sequential runs (and same-seed
-  // reruns) split identically.
+  // Still over budget: scatter into sub-partitions. The scatter depends
+  // only on the input's records, so threaded and sequential runs (and
+  // same-seed reruns) split identically.
   const int fanout = std::max(2, spec.recovery.split_fanout);
-  uint64_t salt = HashCombine(Mix64(round.seed ^ 0x5917ull),
-                              static_cast<uint64_t>(round.job_id));
-  salt = HashCombine(salt, HashCombine(static_cast<uint64_t>(p),
-                                       static_cast<uint64_t>(depth)));
   SPCUBE_ASSIGN_OR_RETURN(
       std::vector<ReduceInput> subs,
-      SplitReduceInput(input, fanout, salt, round.temp_files,
+      SplitReduceInput(input, fanout, budget, round.temp_files,
                        &state->shuffle_counters, round.plan,
                        resource_prefix));
 

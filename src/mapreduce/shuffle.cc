@@ -1,6 +1,7 @@
 #include "mapreduce/shuffle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -58,47 +59,135 @@ Status SpillRecordDecoder::ParseFrom(ByteReader* reader, std::string_view* key,
 
 namespace {
 
-/// First 8 key bytes, big-endian, zero-padded: prefixes compare like the
-/// keys themselves until the first 8 bytes tie.
-uint64_t KeyPrefix(std::string_view key) {
-  uint64_t prefix = 0;
-  const size_t n = key.size() < 8 ? key.size() : 8;
-  for (size_t i = 0; i < n; ++i) {
-    prefix |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
-              << (56 - 8 * static_cast<int>(i));
+/// Key bytes [offset, offset + 8), big-endian, zero-padded past the key's
+/// end: chunks compare like the keys themselves until they tie.
+uint64_t KeyChunk(std::string_view key, size_t offset) {
+  uint64_t chunk = 0;
+  if (key.size() >= offset + 8) {
+    std::memcpy(&chunk, key.data() + offset, 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      chunk = __builtin_bswap64(chunk);
+    }
+    return chunk;
   }
-  return prefix;
+  for (size_t i = offset; i < key.size(); ++i) {
+    chunk |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
+             << (56 - 8 * (i - offset));
+  }
+  return chunk;
+}
+
+/// Ranges up to this size sort by insertion instead of radix passes: cheaper
+/// than clearing eight 256-bucket histograms.
+constexpr size_t kInsertionSortMax = 32;
+
+/// Stable sort of `items[0, n)` by `sort_key`: LSD radix, one byte per
+/// pass, skipping byte positions every item shares. `scratch` holds at
+/// least `n` items.
+void SortBySortKey(ShuffleSortItem* items, size_t n, ShuffleSortItem* scratch) {
+  if (n <= kInsertionSortMax) {
+    for (size_t i = 1; i < n; ++i) {
+      const ShuffleSortItem item = items[i];
+      size_t j = i;
+      for (; j > 0 && items[j - 1].sort_key > item.sort_key; --j) {
+        items[j] = items[j - 1];
+      }
+      items[j] = item;
+    }
+    return;
+  }
+  uint32_t counts[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t chunk = items[i].sort_key;
+    for (int b = 0; b < 8; ++b) ++counts[b][(chunk >> (8 * b)) & 0xff];
+  }
+  ShuffleSortItem* src = items;
+  ShuffleSortItem* dst = scratch;
+  for (int b = 0; b < 8; ++b) {
+    uint32_t* count = counts[b];
+    const int shift = 8 * b;
+    if (count[(src[0].sort_key >> shift) & 0xff] == n) continue;
+    uint32_t offset = 0;
+    for (int v = 0; v < 256; ++v) {
+      const uint32_t size = count[v];
+      count[v] = offset;
+      offset += size;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[count[(src[i].sort_key >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != items) std::copy(src, src + n, items);
 }
 
 /// Fills `items` with one entry per record, `key_at(i)` being record i's
-/// key, and sorts by (prefix, full key, index) — the same total order as a
-/// stable sort by key. The one sort of the shuffle: spills, in-memory
-/// reduce streams, split scatter and the split merge round all use it.
+/// key, sorted by (full key, index) — the order of a stable sort by key.
+/// Radix-sorts the keys' first 8 bytes, then re-sorts each run of tied
+/// items by their keys' next 8 bytes, and so on. A run whose keys all end
+/// within the bytes compared so far is equal up to zero padding, so a
+/// shorter key is a prefix of a longer one: such a run sorts by key
+/// length. Every pass is stable, so equal keys keep index order.
+/// `scratch` is the radix passes' buffer, reused across calls where the
+/// caller keeps one. The one sort of the shuffle: spills, in-memory reduce
+/// streams, split scatter and the split merge round all use it.
 template <typename KeyAt>
 void SortByKey(size_t n, const KeyAt& key_at,
-               std::vector<ShuffleSortItem>* items) {
+               std::vector<ShuffleSortItem>* items,
+               std::vector<ShuffleSortItem>* scratch) {
   SPCUBE_CHECK(n <= UINT32_MAX) << "too many records to sort: " << n;
   items->resize(n);
   for (size_t i = 0; i < n; ++i) {
     (*items)[i] =
-        ShuffleSortItem{KeyPrefix(key_at(i)), static_cast<uint32_t>(i)};
+        ShuffleSortItem{KeyChunk(key_at(i), 0), static_cast<uint32_t>(i)};
   }
-  std::sort(items->begin(), items->end(),
-            [&key_at](const ShuffleSortItem& a, const ShuffleSortItem& b) {
-              if (a.key_prefix != b.key_prefix) {
-                return a.key_prefix < b.key_prefix;
-              }
-              const int cmp = std::string_view(key_at(a.index))
-                                  .compare(std::string_view(key_at(b.index)));
-              if (cmp != 0) return cmp < 0;
-              return a.index < b.index;
-            });
+  if (n < 2) return;
+  scratch->resize(n);
+  ShuffleSortItem* const base = items->data();
+  struct Range {
+    size_t begin;
+    size_t end;
+    size_t offset;  // key bytes [offset, offset + 8) are in sort_key
+  };
+  std::vector<Range> pending = {{0, n, 0}};
+  while (!pending.empty()) {
+    const Range range = pending.back();
+    pending.pop_back();
+    SortBySortKey(base + range.begin, range.end - range.begin, scratch->data());
+    const size_t next = range.offset + 8;
+    for (size_t run = range.begin; run < range.end;) {
+      size_t run_end = run + 1;
+      while (run_end < range.end &&
+             base[run_end].sort_key == base[run].sort_key) {
+        ++run_end;
+      }
+      if (run_end - run > 1) {
+        bool longer = false;
+        for (size_t i = run; i < run_end; ++i) {
+          const std::string_view key = key_at(base[i].index);
+          longer |= key.size() > next;
+          base[i].sort_key = KeyChunk(key, next);
+        }
+        if (longer) {
+          pending.push_back(Range{run, run_end, next});
+        } else {
+          for (size_t i = run; i < run_end; ++i) {
+            base[i].sort_key = key_at(base[i].index).size();
+          }
+          SortBySortKey(base + run, run_end - run, scratch->data());
+        }
+      }
+      run = run_end;
+    }
+  }
 }
 
 void SortRefs(const std::vector<ShuffleRecordRef>& refs,
-              std::vector<ShuffleSortItem>* items) {
+              std::vector<ShuffleSortItem>* items,
+              std::vector<ShuffleSortItem>* scratch) {
   SortByKey(
-      refs.size(), [&refs](size_t i) { return refs[i].key(); }, items);
+      refs.size(), [&refs](size_t i) { return refs[i].key(); }, items,
+      scratch);
 }
 
 /// Streams refs in `order` as one spill run, delta-encoding records into
@@ -242,7 +331,14 @@ Status ShuffleBuffer::Add(int partition, std::string_view key,
   return Status::OK();
 }
 
-Status ShuffleBuffer::FinalizeMapOutput() { return CombineInMemory(); }
+Status ShuffleBuffer::FinalizeMapOutput() {
+  // No spill follows: free the spill scratch now rather than when the
+  // buffer is destroyed, after the whole round's reduces.
+  std::vector<ShuffleRecordRef>().swap(scratch_refs_);
+  std::vector<ShuffleSortItem>().swap(sort_items_);
+  std::vector<ShuffleSortItem>().swap(sort_scratch_);
+  return CombineInMemory();
+}
 
 void ShuffleBuffer::AppendRecordRefs(
     const PartitionState& part, std::vector<ShuffleRecordRef>* refs) const {
@@ -433,7 +529,7 @@ Status ShuffleBuffer::SpillAll() {
     scratch_refs_.clear();
     AppendRecordRefs(part, &scratch_refs_);
     if (scratch_refs_.empty()) continue;
-    SortRefs(scratch_refs_, &sort_items_);
+    SortRefs(scratch_refs_, &sort_items_, &sort_scratch_);
     SPCUBE_ASSIGN_OR_RETURN(
         RunInfo run, WriteSortedRun(scratch_refs_, sort_items_, temp_files_,
                                     counters_, &block_scratch_));
@@ -469,7 +565,10 @@ class InMemoryGroupedStream : public GroupedRecordStream {
   }
 
   /// Builds the sorted iteration order; call once after the last AbsorbRun.
-  void Seal() { SortRefs(entries_, &order_); }
+  void Seal() {
+    std::vector<ShuffleSortItem> scratch;
+    SortRefs(entries_, &order_, &scratch);
+  }
 
   Result<bool> NextGroup(std::string* key) override {
     pos_ = group_end_;
@@ -641,10 +740,13 @@ class MergingGroupedStream : public GroupedRecordStream {
 SortedRecordStream::SortedRecordStream(const std::vector<Record>& records)
     : records_(records) {
   std::vector<ShuffleSortItem> items;
-  SortByKey(
-      records_.size(),
-      [this](size_t i) -> const std::string& { return records_[i].key; },
-      &items);
+  {
+    std::vector<ShuffleSortItem> scratch;
+    SortByKey(
+        records_.size(),
+        [this](size_t i) -> const std::string& { return records_[i].key; },
+        &items, &scratch);
+  }
   order_.reserve(items.size());
   for (const ShuffleSortItem& item : items) {
     const std::string& key = records_[item.index].key;
@@ -713,7 +815,8 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
   AppendSegmentEntries(input.memory_segments, &memory_refs);
   if (!memory_refs.empty()) {
     std::vector<ShuffleSortItem> order;
-    SortRefs(memory_refs, &order);
+    std::vector<ShuffleSortItem> scratch;
+    SortRefs(memory_refs, &order, &scratch);
     SpillBlockEncoder encode;
     SPCUBE_ASSIGN_OR_RETURN(RunInfo run,
                             WriteSortedRun(memory_refs, order, temp_files,
@@ -731,17 +834,16 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
 }
 
 Result<std::vector<ReduceInput>> SplitReduceInput(
-    const ReduceInput& input, int fanout, uint64_t salt,
+    const ReduceInput& input, int fanout, int64_t budget,
     TempFileManager* temp_files, ShuffleCounters* counters,
     IoFaultInjector* injector, const std::string& resource_prefix) {
   SPCUBE_CHECK(fanout >= 2) << "split fanout must be >= 2, got " << fanout;
   int64_t* mismatch_counter =
       counters != nullptr ? &counters->checksum_mismatches : nullptr;
   // Gather every record as refs: in-memory sources directly, spill runs
-  // parsed into a local arena. Records are scattered, not merged, so source
-  // order does not affect correctness — but the global ordinal feeding the
-  // scatter hash must be stable, and it is: segments, then runs, all in
-  // their stored order.
+  // parsed into a local arena. Segments, then runs, in their stored order:
+  // the sort below is stable, so a record's rank within its group (which
+  // decides where a spread group's record goes) depends only on the input.
   std::vector<ShuffleRecordRef> entries;
   Arena absorbed;
   AppendSegmentEntries(input.memory_segments, &entries);
@@ -749,32 +851,87 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
     SPCUBE_RETURN_IF_ERROR(
         AbsorbRun(run, injector, mismatch_counter, &absorbed, &entries));
   }
-  // Salted scatter over (key, ordinal). Including the ordinal is what lets
-  // one oversized group shrink: its records spread across every sub-input
-  // and partial-aggregate there (legal only under the RecoverySpec
-  // contract; see docs/INTERNALS.md §11).
-  std::vector<std::vector<ShuffleRecordRef>> sub_refs(
+  std::vector<ShuffleSortItem> order;
+  {
+    std::vector<ShuffleSortItem> scratch;
+    SortRefs(entries, &order, &scratch);
+  }
+  auto ref_at = [&](size_t pos) -> const ShuffleRecordRef& {
+    return entries[order[pos].index];
+  };
+
+  // A group too big for one sub-input's share of the budget is dealt
+  // round-robin by its records' rank, so each sub-input partial-aggregates
+  // a slice of it (legal only under the RecoverySpec contract; see
+  // docs/INTERNALS.md §11). Every other group goes whole to one sub-input.
+  struct Group {
+    size_t begin;
+    size_t end;
+    int64_t bytes;
+    int sub;  // destination sub-input; -1 for a spread group
+  };
+  const int64_t spread_above = budget / fanout;
+  std::vector<Group> groups;
+  std::vector<size_t> whole;  // indices into `groups`
+  std::vector<int64_t> loads(static_cast<size_t>(fanout), 0);
+  for (size_t begin = 0; begin < order.size();) {
+    const std::string_view key = ref_at(begin).key();
+    Group group{begin, begin, 0, -1};
+    for (; group.end < order.size() && ref_at(group.end).key() == key;
+         ++group.end) {
+      const ShuffleRecordRef& ref = ref_at(group.end);
+      group.bytes += RecordBytes(ref.key(), ref.value());
+    }
+    if (group.bytes > spread_above) {
+      for (size_t pos = group.begin; pos < group.end; ++pos) {
+        const ShuffleRecordRef& ref = ref_at(pos);
+        loads[(pos - group.begin) % static_cast<size_t>(fanout)] +=
+            RecordBytes(ref.key(), ref.value());
+      }
+    } else {
+      whole.push_back(groups.size());
+    }
+    groups.push_back(group);
+    begin = group.end;
+  }
+  // Whole groups, largest first (ties in key order), each to the
+  // least-loaded sub-input (ties to the lowest index).
+  std::sort(whole.begin(), whole.end(), [&groups](size_t a, size_t b) {
+    if (groups[a].bytes != groups[b].bytes) {
+      return groups[a].bytes > groups[b].bytes;
+    }
+    return a < b;
+  });
+  for (size_t g : whole) {
+    const auto lightest = std::min_element(loads.begin(), loads.end());
+    groups[g].sub = static_cast<int>(lightest - loads.begin());
+    *lightest += groups[g].bytes;
+  }
+
+  // Each sub-input's records in the global key order: its run needs no
+  // sort of its own.
+  std::vector<std::vector<ShuffleSortItem>> sub_orders(
       static_cast<size_t>(fanout));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const uint64_t h = HashCombine(
-        HashCombine(Mix64(salt ^ 0x5ca7ull), HashBytes(entries[i].key())),
-        static_cast<uint64_t>(i));
-    sub_refs[h % static_cast<uint64_t>(fanout)].push_back(entries[i]);
+  for (const Group& group : groups) {
+    for (size_t pos = group.begin; pos < group.end; ++pos) {
+      const size_t sub =
+          group.sub >= 0 ? static_cast<size_t>(group.sub)
+                         : (pos - group.begin) % static_cast<size_t>(fanout);
+      sub_orders[sub].push_back(order[pos]);
+    }
   }
   // One sorted run file per sub-input: the result must not reference
   // `input`'s arenas (the OOMed attempt's storage is reclaimed before the
   // sub-attempts run), and runs keep the "each sorted by key" invariant.
   std::vector<ReduceInput> subs(static_cast<size_t>(fanout));
-  std::vector<ShuffleSortItem> order;
   SpillBlockEncoder encode;
   for (int k = 0; k < fanout; ++k) {
-    const std::vector<ShuffleRecordRef>& refs =
-        sub_refs[static_cast<size_t>(k)];
-    if (refs.empty()) continue;
-    SortRefs(refs, &order);
+    const std::vector<ShuffleSortItem>& sub_order =
+        sub_orders[static_cast<size_t>(k)];
+    if (sub_order.empty()) continue;
     SPCUBE_ASSIGN_OR_RETURN(
         RunInfo run,
-        WriteSortedRun(refs, order, temp_files, counters, &encode));
+        WriteSortedRun(entries, sub_order, temp_files, counters, &encode));
     if (!resource_prefix.empty()) {
       run.resource = resource_prefix + "/s" + std::to_string(k);
     }

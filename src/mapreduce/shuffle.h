@@ -189,10 +189,12 @@ struct ShuffleRecordRef {
   std::string_view value() const { return {value_data, value_len}; }
 };
 
-/// Cache of a record's first 8 big-endian key bytes, used to sort slot
-/// indices for a spill without touching the full keys in the hot loop.
+/// A record index and the part of its key that the shuffle's radix key
+/// sort is ordering by: 8 big-endian key bytes (the first 8, then the next
+/// 8 where those tie), or the key's length once every tied key has ended.
+/// The sort's passes read `sort_key` instead of the full keys.
 struct ShuffleSortItem {
-  uint64_t key_prefix = 0;
+  uint64_t sort_key = 0;
   uint32_t index = 0;
 };
 
@@ -249,9 +251,9 @@ class ShuffleSegment {
 ///    open-addressing index keyed on string_views into the arena (built
 ///    incrementally, not per overflow); each key's values form a linked
 ///    list in emission order.
-///  * Spills sort slot indices (cached 8-byte key prefix, then full key,
-///    then emission order — equivalent to a stable sort by key) and stream
-///    the run straight from arena bytes through the CRC32C spill writer.
+///  * Spills radix-sort slot indices by (full key, emission order) — the
+///    order of a stable sort by key — and stream the run straight from
+///    arena bytes through the CRC32C spill writer.
 ///
 /// See docs/INTERNALS.md §9 for what `buffered_bytes_` counts under the
 /// arena. Spill runs are written in the §13 delta/varint format; spill
@@ -286,7 +288,8 @@ class ShuffleBuffer {
   /// callers may reuse their encode buffers immediately.
   Status Add(int partition, std::string_view key, std::string_view value);
 
-  /// Runs the final combine pass; call once after the map task finishes.
+  /// Runs the final combine pass and frees the spill scratch; call once
+  /// after the map task finishes.
   Status FinalizeMapOutput();
 
   /// Moves out a partition's surviving in-memory records together with the
@@ -373,6 +376,7 @@ class ShuffleBuffer {
   // spcube-analyzer: allow(view-escape): per-call scratch; cleared and refilled inside each Take*/spill call, never escapes
   std::vector<ShuffleRecordRef> scratch_refs_;
   std::vector<ShuffleSortItem> sort_items_;
+  std::vector<ShuffleSortItem> sort_scratch_;
   SpillBlockEncoder block_scratch_;
 };
 
@@ -395,7 +399,7 @@ class GroupedRecordStream {
 
 /// Groups owned records by key: split recovery's merge round (engine.cc)
 /// reads every leaf's partial outputs through it. Iterates `records` in
-/// the shuffle's (8-byte key prefix, full key, index) order — keys in
+/// the shuffle's radix key sort order, (full key, index) — keys in
 /// std::string order, equal keys in `records` order — without moving a
 /// record. `records` must outlive the stream and stay unmodified.
 class SortedRecordStream : public GroupedRecordStream {
@@ -450,19 +454,25 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     IoFaultInjector* injector = nullptr, std::string resource_prefix = "");
 
 /// Adaptive-recovery scatter (mapreduce/api.h, RecoverySpec): splits
-/// `input` into `fanout` sub-inputs by a seeded hash of (key, record
-/// ordinal) — the ordinal term spreads even one giant group across every
-/// sub-partition, which plain key hashing never could. Each sub-input is
-/// written as a single sorted run file under `temp_files` (so the result
-/// holds no references into `input`'s arenas — split sub-inputs outlive the
-/// attempt that OOMed), accounted to `counters->spill_bytes`, and named
+/// `input` into `fanout` sub-inputs from one sort of its records. A group
+/// whose payload bytes exceed `budget / fanout` is dealt round-robin over
+/// every sub-input by its records' rank within the group, so even one
+/// giant group shrinks; every other group goes whole to the least-loaded
+/// sub-input, largest group first (ties in key order). No sub-input then
+/// holds more than total/fanout + (budget/fanout)(1 - 1/fanout) bytes,
+/// plus one record per spread group when its records have equal sizes
+/// (docs/INTERNALS.md §11). Each sub-input is written as a single sorted
+/// run file under `temp_files` (so the result holds no references into
+/// `input`'s arenas — split sub-inputs outlive the attempt that OOMed),
+/// accounted to `counters->spill_bytes`, and named
 /// `<resource_prefix>/s<k>` for fault injection. The caller owns the run
-/// files and must delete them after the sub-attempts finish. Spill runs in
-/// `input` are re-read through `injector` (may be null) with checksum
-/// recovery, like any reduce-side fetch. Deterministic in `salt`: same
-/// input + salt => identical scatter, regardless of threading.
+/// files and must delete them after the sub-attempts finish. Spill
+/// runs in `input` are re-read through `injector` (may be null) with
+/// checksum recovery, like any reduce-side fetch. Deterministic: the same
+/// input records in the same source order give the same scatter,
+/// regardless of threading.
 Result<std::vector<ReduceInput>> SplitReduceInput(
-    const ReduceInput& input, int fanout, uint64_t salt,
+    const ReduceInput& input, int fanout, int64_t budget,
     TempFileManager* temp_files, ShuffleCounters* counters,
     IoFaultInjector* injector, const std::string& resource_prefix);
 

@@ -23,6 +23,7 @@
 #include "mapreduce/engine.h"
 #include "mapreduce/fault.h"
 #include "relation/generators.h"
+#include "relation/schema.h"
 
 namespace spcube {
 namespace {
@@ -237,6 +238,84 @@ TEST(RecoveryTest, SplitPartitionMergesOnceOverAllLeaves) {
     std::string diff;
     EXPECT_TRUE(CubeResult::ApproxEqual(reference, *cube, 1e-9, &diff))
         << diff;
+  }
+}
+
+/// Forwards a group's values, counting them.
+class CountingValueStream : public ValueStream {
+ public:
+  explicit CountingValueStream(ValueStream& inner) : inner_(inner) {}
+
+  Result<bool> Next(std::string* value) override {
+    SPCUBE_ASSIGN_OR_RETURN(bool more, inner_.Next(value));
+    if (more) ++count_;
+    return more;
+  }
+  int64_t count() const { return count_; }
+
+ private:
+  ValueStream& inner_;
+  int64_t count_ = 0;
+};
+
+/// Wraps a merge reducer and counts, per key, the partial values that
+/// reach the merge: counter "merge_values/<key>".
+class ValueCountingMergeReducer : public Reducer {
+ public:
+  explicit ValueCountingMergeReducer(std::unique_ptr<Reducer> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Reduce(const std::string& key, ValueStream& values,
+                ReduceContext& context) override {
+    CountingValueStream counted(values);
+    SPCUBE_RETURN_IF_ERROR(inner_->Reduce(key, counted, context));
+    context.IncrementCounter("merge_values/" + key, counted.count());
+    return Status::OK();
+  }
+
+ private:
+  std::unique_ptr<Reducer> inner_;
+};
+
+TEST(RecoveryTest, SplitKeepsSmallGroupsWhole) {
+  // One hot token (2000 rows, ~4 KB of records) and 400 cold tokens of 3
+  // rows each (15 bytes) under a 1 KB strict budget: every partition
+  // splits, but only the hot group is too big for a fanout-2 sub-input's
+  // share of the budget. Each cold group lands whole in one leaf, so it
+  // reaches the merge as exactly one partial.
+  Relation rel(MakeAnonymousSchema(1));
+  constexpr int64_t kHot = 7;
+  for (int i = 0; i < 2000; ++i) rel.AppendRow(std::vector<int64_t>{kHot}, 1);
+  for (int64_t token = 1000; token < 1400; ++token) {
+    for (int r = 0; r < 3; ++r) rel.AppendRow(std::vector<int64_t>{token}, 1);
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    EngineConfig config = TestConfig();
+    config.memory_budget_bytes = 1 << 10;
+    config.host_threads = threads;
+    DistributedFileSystem dfs;
+    Engine engine(config, &dfs);
+
+    JobSpec spec = RecoverableCountSpec();
+    spec.recovery.merge_reducer_factory = [] {
+      return std::make_unique<ValueCountingMergeReducer>(
+          std::make_unique<SumReducer>());
+    };
+    VectorOutputCollector collector;
+    auto metrics = engine.Run(spec, rel, &collector);
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_EQ(CollectorCounts(collector), DirectCounts(rel));
+    EXPECT_EQ(metrics->reduce_partitions_split, config.num_workers);
+    for (int64_t token = 1000; token < 1400; ++token) {
+      EXPECT_EQ(metrics->custom_counters["merge_values/" +
+                                         std::to_string(token)],
+                1)
+          << "cold token " << token;
+    }
+    EXPECT_GT(metrics->custom_counters["merge_values/" + std::to_string(kHot)],
+              1)
+        << "the hot group was not spread";
   }
 }
 

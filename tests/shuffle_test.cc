@@ -371,6 +371,252 @@ TEST(SortedRecordStreamTest, NextGroupSkipsUnreadValues) {
   EXPECT_FALSE(stream.NextGroup(&key).value());
 }
 
+/// Records whose keys stress every branch of the shuffle's radix key sort:
+/// most keys share their first 8 bytes, bytes come from a small alphabet
+/// that includes '\0' (so a zero-padded shorter key ties a longer one on
+/// its chunk), lengths 0-24 cross the 7/8/9 and 16/17 chunk boundaries,
+/// and a few keys repeat hundreds of times. Values number the records, so
+/// the order of equal keys is visible.
+std::vector<Record> RadixStressRecords(size_t count, uint64_t seed) {
+  static constexpr char kAlphabet[] = {'\0', '\1', 'a', '\x7f', '\xff'};
+  static constexpr size_t kLengths[] = {0, 1, 7, 8, 9, 15, 16, 17, 24};
+  Rng rng(seed);
+  std::vector<std::string> keys;
+  for (int k = 0; k < 64; ++k) {
+    const size_t length = rng.NextBernoulli(0.5)
+                              ? kLengths[rng.NextBounded(std::size(kLengths))]
+                              : rng.NextBounded(25);
+    std::string key = rng.NextBernoulli(0.8) ? std::string("sp\0cube\0", 8)
+                                             : std::string();
+    while (key.size() < length) {
+      key.push_back(kAlphabet[rng.NextBounded(std::size(kAlphabet))]);
+    }
+    key.resize(length);
+    keys.push_back(std::move(key));
+  }
+  std::vector<Record> records;
+  for (size_t i = 0; i < count; ++i) {
+    // Keys 0-3 take half the records: long runs of one key.
+    const size_t k = rng.NextBernoulli(0.5) ? rng.NextBounded(4)
+                                            : rng.NextBounded(keys.size());
+    records.push_back(Record{keys[k], std::to_string(i)});
+  }
+  return records;
+}
+
+std::vector<Record> DrainInOrder(GroupedRecordStream& stream) {
+  std::vector<Record> records;
+  std::string key;
+  std::string value;
+  for (;;) {
+    auto more = stream.NextGroup(&key);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    for (;;) {
+      auto has_value = stream.NextValue(&value);
+      EXPECT_TRUE(has_value.ok());
+      if (!has_value.ok() || !*has_value) break;
+      records.push_back(Record{key, value});
+    }
+  }
+  return records;
+}
+
+TEST(ShuffleSortTest, RadixKeySortEqualsStableSortByKey) {
+  // Sizes on both sides of the sort's insertion-sort cutoff.
+  for (size_t count : {0, 1, 2, 31, 33, 300, 5000}) {
+    SCOPED_TRACE("records=" + std::to_string(count));
+    const std::vector<Record> records = RadixStressRecords(count, 17 + count);
+    std::vector<Record> expected = records;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Record& a, const Record& b) {
+                       return a.key < b.key;
+                     });
+    auto same = [&expected](const std::vector<Record>& actual) {
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < actual.size(); ++i) {
+        ASSERT_EQ(actual[i].key, expected[i].key) << "position " << i;
+        ASSERT_EQ(actual[i].value, expected[i].value) << "position " << i;
+      }
+    };
+
+    SortedRecordStream sorted(records);
+    same(DrainInOrder(sorted));
+
+    // In memory: one unsorted segment, sorted by the reduce-side stream.
+    TempFileManager temp("radix");
+    ShuffleCounters counters;
+    auto in_memory = MakeGroupedStream(MakeInput(records), int64_t{1} << 30,
+                                       MemoryPolicy::kSpill, &temp,
+                                       &counters);
+    ASSERT_TRUE(in_memory.ok());
+    same(DrainInOrder(**in_memory));
+
+    // Spilled: map-side runs of a small buffer, external-merged in run
+    // (emission) order.
+    ShuffleBuffer buffer(1, /*memory_budget_bytes=*/512, nullptr, &temp,
+                         &counters);
+    for (const Record& record : records) {
+      ASSERT_TRUE(buffer.Add(0, record.key, record.value).ok());
+    }
+    ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
+    ReduceInput spilled;
+    AddSegment(buffer.TakeMemorySegment(0), &spilled);
+    for (RunInfo& run : buffer.TakeSpillRuns(0)) {
+      spilled.total_bytes += run.payload_bytes;
+      spilled.total_records += run.records;
+      spilled.spill_runs.push_back(std::move(run));
+    }
+    auto merged = MakeGroupedStream(std::move(spilled), /*budget=*/1,
+                                    MemoryPolicy::kSpill, &temp, &counters);
+    ASSERT_TRUE(merged.ok());
+    same(DrainInOrder(**merged));
+  }
+}
+
+// ---- Split-recovery scatter -------------------------------------------------
+
+using KeyValue = std::pair<std::string, std::string>;
+
+/// Every record of one sorted run file, in file order.
+std::vector<KeyValue> ReadRun(const RunInfo& run) {
+  std::vector<KeyValue> records;
+  SpillReader reader(run.path);
+  EXPECT_TRUE(reader.Open().ok());
+  SpillBlockDecoder decoder;
+  std::string raw;
+  for (;;) {
+    auto more = reader.Next(&raw);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    decoder.SetBlock(raw);
+    for (;;) {
+      std::string_view key;
+      std::string_view value;
+      auto record = decoder.Next(&key, &value);
+      EXPECT_TRUE(record.ok());
+      if (!record.ok() || !*record) break;
+      records.emplace_back(key, value);
+    }
+  }
+  return records;
+}
+
+/// `SplitReduceInput`'s sub-inputs, each as the records of its one run.
+std::vector<std::vector<KeyValue>> SplitRecords(const ReduceInput& input,
+                                             int fanout, int64_t budget,
+                                             TempFileManager* temp) {
+  ShuffleCounters counters;
+  auto subs = SplitReduceInput(input, fanout, budget, temp, &counters,
+                               /*injector=*/nullptr, "split");
+  EXPECT_TRUE(subs.ok()) << subs.status();
+  std::vector<std::vector<KeyValue>> out;
+  if (!subs.ok()) return out;
+  EXPECT_EQ(subs->size(), static_cast<size_t>(fanout));
+  for (const ReduceInput& sub : *subs) {
+    EXPECT_TRUE(sub.memory_segments.empty());
+    EXPECT_LE(sub.spill_runs.size(), 1u);
+    out.emplace_back();
+    for (const RunInfo& run : sub.spill_runs) {
+      out.back() = ReadRun(run);
+      EXPECT_EQ(static_cast<int64_t>(out.back().size()), sub.total_records);
+      RemoveFileIfExists(run.path);
+    }
+  }
+  return out;
+}
+
+TEST(SplitReduceInputTest, SpreadsOnlyGroupsTooBigForASubInput) {
+  constexpr int kFanout = 3;
+  constexpr int64_t kBudget = 1500;  // groups above 500 bytes spread
+  // One hot group of 301 records (~2.4 KB) and 120 cold groups of 1-5
+  // records (<= 50 bytes each), emitted interleaved.
+  std::vector<Record> records;
+  for (int i = 0; i < 301; ++i) {
+    records.push_back(Record{"hot", "h" + std::to_string(i)});
+    if (i < 120) {
+      for (int r = 0; r <= i % 5; ++r) {
+        records.push_back(
+            Record{"cold" + std::to_string(i), "c" + std::to_string(r)});
+      }
+    }
+  }
+  // Half the records through a spilling map-side buffer (sorted runs), the
+  // rest as an unsorted in-memory segment.
+  TempFileManager temp("split");
+  ShuffleCounters map_counters;
+  ShuffleBuffer buffer(1, /*memory_budget_bytes=*/256, nullptr, &temp,
+                       &map_counters);
+  for (size_t i = 0; i < records.size() / 2; ++i) {
+    ASSERT_TRUE(buffer.Add(0, records[i].key, records[i].value).ok());
+  }
+  ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
+  ReduceInput input = MakeInput(std::vector<Record>(
+      records.begin() + static_cast<std::ptrdiff_t>(records.size() / 2),
+      records.end()));
+  AddSegment(buffer.TakeMemorySegment(0), &input);
+  std::vector<RunInfo> runs = buffer.TakeSpillRuns(0);
+  ASSERT_FALSE(runs.empty());
+  for (RunInfo& run : runs) {
+    input.total_bytes += run.payload_bytes;
+    input.total_records += run.records;
+    input.spill_runs.push_back(std::move(run));
+  }
+
+  const auto subs = SplitRecords(input, kFanout, kBudget, &temp);
+  ASSERT_EQ(subs.size(), static_cast<size_t>(kFanout));
+  std::map<std::string, std::set<int>> subs_of_key;
+  std::vector<int64_t> hot_per_sub(kFanout, 0);
+  std::multiset<KeyValue> scattered;
+  for (int k = 0; k < kFanout; ++k) {
+    const std::vector<KeyValue>& run = subs[static_cast<size_t>(k)];
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LE(run[i - 1].first, run[i].first) << "sub " << k;
+      }
+      subs_of_key[run[i].first].insert(k);
+      if (run[i].first == "hot") ++hot_per_sub[static_cast<size_t>(k)];
+      scattered.insert(run[i]);
+    }
+  }
+  std::multiset<KeyValue> expected;
+  for (const Record& record : records) {
+    expected.emplace(record.key, record.value);
+  }
+  EXPECT_EQ(scattered, expected);
+  ASSERT_EQ(subs_of_key.size(), 121u);
+  for (const auto& [key, where] : subs_of_key) {
+    if (key == "hot") continue;
+    EXPECT_EQ(where.size(), 1u) << key << " was split";
+  }
+  // The hot group covers every sub-input, dealt evenly.
+  const auto [fewest, most] =
+      std::minmax_element(hot_per_sub.begin(), hot_per_sub.end());
+  EXPECT_GT(*fewest, 0);
+  EXPECT_LE(*most - *fewest, 1);
+  // The convergence bound: total/fanout + (budget/fanout)(1 - 1/fanout),
+  // plus one hot record for the uneven round-robin share.
+  int64_t total = 0;
+  int64_t max_record = 0;
+  for (const Record& record : records) {
+    total += RecordBytes(record.key, record.value);
+    max_record = std::max(max_record, RecordBytes(record.key, record.value));
+  }
+  for (int k = 0; k < kFanout; ++k) {
+    int64_t bytes = 0;
+    for (const KeyValue& record : subs[static_cast<size_t>(k)]) {
+      bytes += RecordBytes(record.first, record.second);
+    }
+    EXPECT_LE(bytes, total / kFanout +
+                         (kBudget / kFanout) * (kFanout - 1) / kFanout +
+                         max_record)
+        << "sub " << k;
+  }
+
+  // Deterministic: a second call writes identical runs.
+  EXPECT_EQ(SplitRecords(input, kFanout, kBudget, &temp), subs);
+}
+
 // ---- Checksums and attempt-private file lifetime ---------------------------
 
 int64_t CountFilesIn(const std::string& dir) {

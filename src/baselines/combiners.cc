@@ -1,6 +1,7 @@
 #include "baselines/combiners.h"
 
 #include "common/bytes.h"
+#include "core/cube_algorithm.h"
 
 namespace spcube {
 
@@ -10,10 +11,7 @@ Status AggStateCombiner::Combine(const std::string& /*key*/,
   const Aggregator& agg = GetAggregator(kind_);
   AggState total = agg.Empty();
   for (const std::string& value : values) {
-    ByteReader reader(value);
-    AggState partial;
-    SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
-    agg.Merge(total, partial);
+    SPCUBE_RETURN_IF_ERROR(MergeEncodedState(agg, value, &total));
   }
   ByteWriter writer;
   total.EncodeTo(writer);
@@ -26,23 +24,9 @@ Status MergeStatesReducer::Reduce(const std::string& key,
                                   ValueStream& values,
                                   ReduceContext& context) {
   const Aggregator& agg = GetAggregator(kind_);
-  AggState total = agg.Empty();
-  std::string value;
-  for (;;) {
-    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-    if (!more) break;
-    ByteReader reader(value);
-    AggState partial;
-    SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
-    agg.Merge(total, partial);
-  }
-  if (min_count_ > 1 && kind_ == AggregateKind::kCount &&
-      total.v0 < min_count_) {
-    return Status::OK();
-  }
-  ByteWriter writer;
-  writer.PutDouble(agg.Finalize(total));
-  return context.Output(key, writer.data());
+  SPCUBE_ASSIGN_OR_RETURN(AggState total, MergeStates(agg, values));
+  if (!KeepsIcebergCell(kind_, min_count_, total)) return Status::OK();
+  return context.Output(key, EncodeCubeValue(agg.Finalize(total)));
 }
 
 }  // namespace spcube

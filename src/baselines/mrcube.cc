@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "cube/buc.h"
 #include "cube/group_key.h"
-#include "relation/tuple_codec.h"
 
 namespace spcube {
 namespace {
@@ -54,16 +53,7 @@ class AnnotateReducer : public Reducer {
 
   Status Reduce(const std::string& /*key*/, ValueStream& values,
                 ReduceContext& /*context*/) override {
-    std::string value;
-    std::vector<int64_t> dims;
-    int64_t measure = 0;
-    for (;;) {
-      SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-      if (!more) break;
-      SPCUBE_RETURN_IF_ERROR(DecodeTuple(value, &dims, &measure));
-      sample_.AppendRow(dims, measure);
-    }
-    return Status::OK();
+    return AppendTupleGroup(values, &sample_);
   }
 
   Status Finish(ReduceContext& context) override {
@@ -200,16 +190,7 @@ class MrCubeReducer : public Reducer {
     uint64_t sub = 0;
     SPCUBE_RETURN_IF_ERROR(DecodeMrKey(key, &group, &sub));
     const Aggregator& agg = GetAggregator(kind_);
-    AggState total = agg.Empty();
-    std::string value;
-    for (;;) {
-      SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-      if (!more) break;
-      ByteReader reader(value);
-      AggState partial;
-      SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
-      agg.Merge(total, partial);
-    }
+    SPCUBE_ASSIGN_OR_RETURN(AggState total, MergeStates(agg, values));
     key_writer_.Clear();
     group.EncodeTo(key_writer_);
     value_writer_.Clear();
@@ -217,10 +198,7 @@ class MrCubeReducer : public Reducer {
       // Final value for a friendly cuboid; apply the iceberg filter here.
       // Partitioned cuboids carry partial states onward unfiltered — the
       // post-aggregation round filters after the full merge.
-      if (min_count_ > 1 && kind_ == AggregateKind::kCount &&
-          total.v0 < min_count_) {
-        return Status::OK();
-      }
+      if (!KeepsIcebergCell(kind_, min_count_, total)) return Status::OK();
       value_writer_.PutDouble(agg.Finalize(total));
       return context.Output(key_writer_.data(), value_writer_.data());
     }
@@ -288,11 +266,7 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
   const int k = engine.config().num_workers;
   const int64_t n = input.num_rows();
 
-  SketchBuildConfig sampling = options_.sampling;
-  if (sampling.num_partitions <= 0) sampling.num_partitions = k;
-  if (sampling.memory_tuples_m <= 0) {
-    sampling.memory_tuples_m = std::max<int64_t>(1, n / k);
-  }
+  const SketchBuildConfig sampling = options_.sampling.ResolvedFor(k, n);
 
   const std::string annotations_path =
       "mrcube/annotations/run_" + std::to_string(run_counter_++);
@@ -329,6 +303,7 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
   }
 
   // ---- Round 2: materialize the cube --------------------------------------
+  CubeCollector cells(options, engine.dfs(), input.num_dims());
   VectorOutputCollector round2_output;
   {
     JobSpec spec;
@@ -347,23 +322,22 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
     out.metrics.Add(std::move(round));
   }
 
-  // Split round-2 output into final values (friendly cuboids) and partial
-  // states that still need the post-aggregation round.
+  // Friendly cuboids' round-2 cells are final; partitioned cuboids' partial
+  // states still need the post-aggregation round.
   std::vector<Record> partials;
-  std::vector<VectorOutputCollector::Entry> finals;
   for (const VectorOutputCollector::Entry& entry : round2_output.entries()) {
     ByteReader reader(entry.key);
     GroupKey group;
     SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &group));
     if (annotations.partition_factor[group.mask] <= 1) {
-      finals.push_back(entry);
+      SPCUBE_RETURN_IF_ERROR(
+          cells.Collect(entry.reducer_id, entry.key, entry.value));
     } else {
       partials.push_back(Record{entry.key, entry.value});
     }
   }
 
   // ---- Round 3: post-aggregate value-partitioned groups -------------------
-  VectorOutputCollector round3_output;
   if (!partials.empty()) {
     JobSpec spec;
     spec.name = "mrcube-postagg";
@@ -375,44 +349,11 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
       return std::make_unique<MergeStatesReducer>(kind, min_count);
     };
     spec.combiner = std::make_shared<AggStateCombiner>(options.aggregate);
-    SPCUBE_ASSIGN_OR_RETURN(
-        JobMetrics round, engine.RunRecords(spec, partials, &round3_output));
+    SPCUBE_ASSIGN_OR_RETURN(JobMetrics round,
+                            engine.RunRecords(spec, partials, &cells));
     out.metrics.Add(std::move(round));
   }
-
-  std::unique_ptr<DfsCubeWriter> dfs_writer;
-  if (!options.dfs_output_root.empty()) {
-    dfs_writer = std::make_unique<DfsCubeWriter>(engine.dfs(),
-                                                 options.dfs_output_root);
-    for (const VectorOutputCollector::Entry& entry : finals) {
-      SPCUBE_RETURN_IF_ERROR(
-          dfs_writer->Collect(entry.reducer_id, entry.key, entry.value));
-    }
-    for (const VectorOutputCollector::Entry& entry :
-         round3_output.entries()) {
-      SPCUBE_RETURN_IF_ERROR(
-          dfs_writer->Collect(entry.reducer_id, entry.key, entry.value));
-    }
-  }
-
-  if (options.collect_output) {
-    CubeResult cube(input.num_dims());
-    auto add_entries =
-        [&cube](const std::vector<VectorOutputCollector::Entry>& entries)
-        -> Status {
-      for (const VectorOutputCollector::Entry& entry : entries) {
-        ByteReader reader(entry.key);
-        GroupKey group;
-        SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &group));
-        SPCUBE_ASSIGN_OR_RETURN(double value, DecodeCubeValue(entry.value));
-        SPCUBE_RETURN_IF_ERROR(cube.AddGroup(std::move(group), value));
-      }
-      return Status::OK();
-    };
-    SPCUBE_RETURN_IF_ERROR(add_entries(finals));
-    SPCUBE_RETURN_IF_ERROR(add_entries(round3_output.entries()));
-    out.cube = std::make_unique<CubeResult>(std::move(cube));
-  }
+  out.cube = cells.TakeCube();
   return out;
 }
 

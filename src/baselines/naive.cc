@@ -64,32 +64,7 @@ Result<CubeRunOutput> NaiveCubeAlgorithm::Run(Engine& engine,
   if (options_.use_combiner) {
     spec.combiner = std::make_shared<AggStateCombiner>(options.aggregate);
   }
-
-  CubeRunOutput out;
-  out.metrics.algorithm = name();
-  VectorOutputCollector cube_collector;
-  NullOutputCollector null_collector;
-  OutputCollector* sink =
-      options.collect_output
-          ? static_cast<OutputCollector*>(&cube_collector)
-          : static_cast<OutputCollector*>(&null_collector);
-  std::unique_ptr<DfsCubeWriter> dfs_writer;
-  std::unique_ptr<TeeOutputCollector> tee;
-  if (!options.dfs_output_root.empty()) {
-    dfs_writer = std::make_unique<DfsCubeWriter>(engine.dfs(),
-                                                 options.dfs_output_root);
-    tee = std::make_unique<TeeOutputCollector>(sink, dfs_writer.get());
-    sink = tee.get();
-  }
-  SPCUBE_ASSIGN_OR_RETURN(JobMetrics round, engine.Run(spec, input, sink));
-  out.metrics.Add(std::move(round));
-
-  if (options.collect_output) {
-    SPCUBE_ASSIGN_OR_RETURN(CubeResult cube,
-                            CollectCube(cube_collector, input.num_dims()));
-    out.cube = std::make_unique<CubeResult>(std::move(cube));
-  }
-  return out;
+  return RunCubeJob(engine, spec, input, options, name());
 }
 
 }  // namespace spcube

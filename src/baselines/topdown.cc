@@ -87,17 +87,8 @@ class MergeToStateReducer : public Reducer {
 
   Status Reduce(const std::string& key, ValueStream& values,
                 ReduceContext& context) override {
-    const Aggregator& agg = GetAggregator(kind_);
-    AggState total = agg.Empty();
-    std::string value;
-    for (;;) {
-      SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-      if (!more) break;
-      ByteReader reader(value);
-      AggState partial;
-      SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
-      agg.Merge(total, partial);
-    }
+    SPCUBE_ASSIGN_OR_RETURN(AggState total,
+                            MergeStates(GetAggregator(kind_), values));
     writer_.Clear();
     total.EncodeTo(writer_);
     return context.Output(key, writer_.data());
@@ -126,36 +117,24 @@ Result<CubeRunOutput> TopDownCubeAlgorithm::Run(
 
   CubeRunOutput out;
   out.metrics.algorithm = name();
-  CubeResult cube(d);
   const Aggregator& agg = GetAggregator(kind);
-  std::unique_ptr<DfsCubeWriter> dfs_writer;
-  if (!options.dfs_output_root.empty()) {
-    dfs_writer = std::make_unique<DfsCubeWriter>(engine.dfs(),
-                                                 options.dfs_output_root);
-  }
+  CubeCollector cells(options, engine.dfs(), d);
 
+  // Finalizes a level's kept states into `cells` (decoding nothing when no
+  // cell is wanted) and returns the level as the next round's input.
   auto absorb = [&](const std::vector<VectorOutputCollector::Entry>& entries)
       -> Result<std::vector<Record>> {
     std::vector<Record> next_level;
+    ByteWriter encode;
     for (const VectorOutputCollector::Entry& entry : entries) {
-      if (options.collect_output || dfs_writer != nullptr) {
-        ByteReader reader(entry.key);
-        GroupKey key;
-        SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &key));
-        ByteReader value_reader(entry.value);
+      if (cells.wants_cells()) {
+        ByteReader reader(entry.value);
         AggState state;
-        SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(value_reader, &state));
-        if (options.iceberg_min_count <= 1 ||
-            kind != AggregateKind::kCount ||
-            state.v0 >= options.iceberg_min_count) {
-          const double value = agg.Finalize(state);
-          if (dfs_writer != nullptr) {
-            SPCUBE_RETURN_IF_ERROR(dfs_writer->Collect(
-                entry.reducer_id, entry.key, EncodeCubeValue(value)));
-          }
-          if (options.collect_output) {
-            SPCUBE_RETURN_IF_ERROR(cube.AddGroup(std::move(key), value));
-          }
+        SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &state));
+        if (KeepsIcebergCell(kind, options.iceberg_min_count, state)) {
+          SPCUBE_RETURN_IF_ERROR(
+              cells.Collect(entry.reducer_id, entry.key,
+                            EncodeCubeValueTo(agg.Finalize(state), encode)));
         }
       }
       next_level.push_back(Record{entry.key, entry.value});
@@ -201,9 +180,7 @@ Result<CubeRunOutput> TopDownCubeAlgorithm::Run(
     SPCUBE_ASSIGN_OR_RETURN(level, absorb(collector.entries()));
   }
 
-  if (options.collect_output) {
-    out.cube = std::make_unique<CubeResult>(std::move(cube));
-  }
+  out.cube = cells.TakeCube();
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/bytes.h"
-#include "cube/group_key.h"
 
 namespace spcube {
 namespace {
@@ -91,17 +90,23 @@ Result<double> DecodeCubeValue(std::string_view bytes) {
   return value;
 }
 
-Result<CubeResult> CollectCube(const VectorOutputCollector& collector,
-                               int num_dims) {
-  CubeResult cube(num_dims);
-  for (const VectorOutputCollector::Entry& entry : collector.entries()) {
-    ByteReader reader(entry.key);
-    GroupKey key;
-    SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &key));
-    SPCUBE_ASSIGN_OR_RETURN(double value, DecodeCubeValue(entry.value));
-    SPCUBE_RETURN_IF_ERROR(cube.AddGroup(std::move(key), value));
+Status MergeEncodedState(const Aggregator& agg, std::string_view encoded,
+                         AggState* total) {
+  ByteReader reader(encoded);
+  AggState partial;
+  SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
+  agg.Merge(*total, partial);
+  return Status::OK();
+}
+
+Result<AggState> MergeStates(const Aggregator& agg, ValueStream& values) {
+  AggState total = agg.Empty();
+  std::string value;
+  for (;;) {
+    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
+    if (!more) return total;
+    SPCUBE_RETURN_IF_ERROR(MergeEncodedState(agg, value, &total));
   }
-  return cube;
 }
 
 RecoverySpec MakeCubeRecoverySpec(AggregateKind kind,

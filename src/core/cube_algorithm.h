@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "cube/aggregate.h"
 #include "cube/cube_result.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/metrics.h"
@@ -56,15 +57,31 @@ class CubeAlgorithm {
 };
 
 /// The wire format shared by all algorithms' reduce outputs: key is an
-/// encoded GroupKey, value a little-endian double. These helpers parse a
-/// collector's contents back into a CubeResult.
+/// encoded GroupKey, value a little-endian double. CubeCollector
+/// (core/cube_output.h) is the one sink that decodes it.
 std::string EncodeCubeValue(double value);
 /// Encodes into a caller-owned writer (cleared first) and returns a view of
 /// the encoding — the allocation-free variant for reducer emit loops.
 std::string_view EncodeCubeValueTo(double value, ByteWriter& writer);
 Result<double> DecodeCubeValue(std::string_view bytes);
-Result<CubeResult> CollectCube(const VectorOutputCollector& collector,
-                               int num_dims);
+
+/// The iceberg keep-test (CubeRunOptions::iceberg_min_count): whether a
+/// cell whose merged state is `state` is output. Thresholds apply to the
+/// count aggregate only, where v0 is the group's cardinality.
+inline bool KeepsIcebergCell(AggregateKind kind, int64_t min_count,
+                             const AggState& state) {
+  return min_count <= 1 || kind != AggregateKind::kCount ||
+         state.v0 >= min_count;
+}
+
+/// Decodes one encoded AggState and merges it into `*total` — the per-value
+/// step of every combiner and reduce-side state merge.
+Status MergeEncodedState(const Aggregator& agg, std::string_view encoded,
+                         AggState* total);
+
+/// Merges every encoded AggState of one reduce group, starting from
+/// agg.Empty().
+Result<AggState> MergeStates(const Aggregator& agg, ValueStream& values);
 
 /// The RecoverySpec shared by every cube job whose reduce output follows
 /// the wire format above (encoded GroupKey -> encoded double, one record

@@ -12,26 +12,61 @@ std::string PartPath(const std::string& root, CuboidMask mask,
          std::to_string(reducer_id);
 }
 
+Status DecodeCell(std::string_view key, std::string_view value,
+                  GroupKey* group, double* cell) {
+  ByteReader reader(key);
+  SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, group));
+  SPCUBE_ASSIGN_OR_RETURN(*cell, DecodeCubeValue(value));
+  return Status::OK();
+}
+
 }  // namespace
 
-DfsCubeWriter::DfsCubeWriter(DistributedFileSystem* dfs, std::string root)
-    : dfs_(dfs), root_(std::move(root)) {}
+CubeCollector::CubeCollector(const CubeRunOptions& options,
+                             DistributedFileSystem* dfs, int num_dims)
+    : wants_cells_(options.collect_output || !options.dfs_output_root.empty()),
+      root_(options.dfs_output_root),
+      dfs_(dfs),
+      cube_(options.collect_output ? std::make_unique<CubeResult>(num_dims)
+                                   : nullptr) {}
 
-Status DfsCubeWriter::Collect(int reducer_id, std::string_view key,
+Status CubeCollector::Collect(int reducer_id, std::string_view key,
                               std::string_view value) {
-  // Peek the cuboid mask to pick the directory; re-encode the whole record
-  // (key + value, both length-prefixed) into the part file.
-  ByteReader reader(key);
+  if (!wants_cells_) return Status::OK();
   GroupKey group;
-  SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &group));
-
-  ByteWriter record;
-  record.PutBytes(key);
-  record.PutBytes(value);
+  double cell = 0.0;
+  SPCUBE_RETURN_IF_ERROR(DecodeCell(key, value, &group, &cell));
 
   MutexLock lock(&mu_);
-  return dfs_->Append(PartPath(root_, group.mask, reducer_id),
-                      record.data());
+  if (!root_.empty()) {
+    // The part file gets the record as received: key and value, each
+    // length-prefixed.
+    ByteWriter record;
+    record.PutBytes(key);
+    record.PutBytes(value);
+    SPCUBE_RETURN_IF_ERROR(
+        dfs_->Append(PartPath(root_, group.mask, reducer_id), record.data()));
+  }
+  if (cube_ == nullptr) return Status::OK();
+  return cube_->AddGroup(std::move(group), cell);
+}
+
+std::unique_ptr<CubeResult> CubeCollector::TakeCube() {
+  MutexLock lock(&mu_);
+  return std::move(cube_);
+}
+
+Result<CubeRunOutput> RunCubeJob(Engine& engine, const JobSpec& spec,
+                                 const Relation& input,
+                                 const CubeRunOptions& options,
+                                 std::string algorithm) {
+  CubeCollector cells(options, engine.dfs(), input.num_dims());
+  SPCUBE_ASSIGN_OR_RETURN(JobMetrics round, engine.Run(spec, input, &cells));
+  CubeRunOutput out;
+  out.metrics.algorithm = std::move(algorithm);
+  out.metrics.Add(std::move(round));
+  out.cube = cells.TakeCube();
+  return out;
 }
 
 Result<CubeResult> ReadCubeFromDfs(const DistributedFileSystem& dfs,
@@ -45,12 +80,9 @@ Result<CubeResult> ReadCubeFromDfs(const DistributedFileSystem& dfs,
       std::string_view value_bytes;
       SPCUBE_RETURN_IF_ERROR(reader.GetBytes(&key_bytes));
       SPCUBE_RETURN_IF_ERROR(reader.GetBytes(&value_bytes));
-      ByteReader key_reader(key_bytes);
       GroupKey key;
-      SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(key_reader, &key));
-      ByteReader value_reader(value_bytes);
       double value = 0.0;
-      SPCUBE_RETURN_IF_ERROR(value_reader.GetDouble(&value));
+      SPCUBE_RETURN_IF_ERROR(DecodeCell(key_bytes, value_bytes, &key, &value));
       SPCUBE_RETURN_IF_ERROR(cube.AddGroup(std::move(key), value));
     }
   }

@@ -7,22 +7,6 @@
 #include "core/cube_output.h"
 
 namespace spcube {
-namespace {
-
-SketchBuildConfig ResolveSketchConfig(const SpCubeOptions& options,
-                                      const Engine& engine, int64_t n) {
-  SketchBuildConfig config = options.sketch;
-  if (config.num_partitions <= 0) {
-    config.num_partitions = engine.config().num_workers;
-  }
-  if (config.memory_tuples_m <= 0) {
-    config.memory_tuples_m =
-        std::max<int64_t>(1, n / engine.config().num_workers);
-  }
-  return config;
-}
-
-}  // namespace
 
 Result<JobMetrics> SpCubeAlgorithm::RunSketchRound(
     Engine& engine, const Relation& input, const SketchBuildConfig& config,
@@ -71,114 +55,42 @@ Result<CubeRunOutput> SpCubeAlgorithm::RunCubeRound(
                           &degraded));
   std::shared_ptr<const SpSketch> sketch(std::move(sketch_owned));
 
-  CubeRunOutput out;
-  out.metrics.algorithm = name();
-
-  VectorOutputCollector cube_collector;
-  NullOutputCollector null_collector;
-  std::unique_ptr<DfsCubeWriter> dfs_writer;
-  std::unique_ptr<TeeOutputCollector> tee;
-  {
-    JobSpec spec;
-    spec.name = "spcube-cube";
-    spec.num_reducers = k + 1;  // reducer 0 handles skewed groups
-    if (options_.use_range_partitioner && !degraded) {
-      spec.partitioner = std::make_shared<SketchRangePartitioner>(sketch);
-    } else {
-      // Degraded: the empty sketch has no partition elements, so range
-      // partitioning would funnel everything into one reducer; spread the
-      // load by hashing instead (the skew set is empty either way).
-      spec.partitioner = std::make_shared<SkewAwareHashPartitioner>(sketch);
-    }
-    spec.mapper_factory = [this, sketch_path, &options, &input]() {
-      return std::make_unique<SpCubeMapper>(sketch_path, input.num_dims(),
-                                            options.aggregate,
-                                            options_.tuning);
-    };
-    spec.reducer_factory = [this, sketch_path, &options, &input]() {
-      return std::make_unique<SpCubeReducer>(sketch_path, input.num_dims(),
-                                             options.aggregate,
-                                             options_.tuning,
-                                             options.iceberg_min_count);
-    };
-    if (options_.strict_reducer_memory) {
-      // In-memory reduce processing; a partition that outgrows the budget
-      // (stale sketch under drift, injected pressure) degrades through the
-      // engine's split recovery instead of failing — except for holistic
-      // aggregates, which the spec rejects with an explanation.
-      spec.memory_policy = MemoryPolicy::kStrict;
-      spec.recovery =
-          MakeCubeRecoverySpec(options.aggregate, options.iceberg_min_count);
-    }
-    OutputCollector* sink =
-        options.collect_output
-            ? static_cast<OutputCollector*>(&cube_collector)
-            : static_cast<OutputCollector*>(&null_collector);
-    if (!options.dfs_output_root.empty()) {
-      dfs_writer = std::make_unique<DfsCubeWriter>(engine.dfs(),
-                                                   options.dfs_output_root);
-      tee = std::make_unique<TeeOutputCollector>(sink, dfs_writer.get());
-      sink = tee.get();
-    }
-    SPCUBE_ASSIGN_OR_RETURN(JobMetrics round, engine.Run(spec, input, sink));
-    out.metrics.Add(std::move(round));
+  JobSpec spec;
+  spec.name = "spcube-cube";
+  spec.num_reducers = k + 1;  // reducer 0 handles skewed groups
+  if (options_.use_range_partitioner && !degraded) {
+    spec.partitioner = std::make_shared<SketchRangePartitioner>(sketch);
+  } else {
+    // Degraded: the empty sketch has no partition elements, so range
+    // partitioning would funnel everything into one reducer; spread the
+    // load by hashing instead (the skew set is empty either way).
+    spec.partitioner = std::make_shared<SkewAwareHashPartitioner>(sketch);
   }
-
-  if (options.collect_output) {
-    SPCUBE_ASSIGN_OR_RETURN(CubeResult cube,
-                            CollectCube(cube_collector, input.num_dims()));
-    out.cube = std::make_unique<CubeResult>(std::move(cube));
+  spec.mapper_factory = [this, sketch_path, &options, &input]() {
+    return std::make_unique<SpCubeMapper>(sketch_path, input.num_dims(),
+                                          options.aggregate,
+                                          options_.tuning);
+  };
+  spec.reducer_factory = [this, sketch_path, &options, &input]() {
+    return std::make_unique<SpCubeReducer>(sketch_path, input.num_dims(),
+                                           options.aggregate,
+                                           options_.tuning,
+                                           options.iceberg_min_count);
+  };
+  if (options_.strict_reducer_memory) {
+    // In-memory reduce processing; a partition that outgrows the budget
+    // (stale sketch under drift, injected pressure) degrades through the
+    // engine's split recovery instead of failing — except for holistic
+    // aggregates, which the spec rejects with an explanation.
+    spec.memory_policy = MemoryPolicy::kStrict;
+    spec.recovery =
+        MakeCubeRecoverySpec(options.aggregate, options.iceberg_min_count);
   }
-  return out;
+  return RunCubeJob(engine, spec, input, options, name());
 }
 
-Result<CubeRunOutput> SpCubeAlgorithm::Run(Engine& engine,
-                                           const Relation& input,
-                                           const CubeRunOptions& options) {
-  SPCUBE_RETURN_IF_ERROR(ValidateCubeRunOptions(options));
-  const SketchBuildConfig sketch_config =
-      ResolveSketchConfig(options_, engine, input.num_rows());
-  const std::string sketch_path =
-      "spcube/sketch/run_" + std::to_string(run_counter_++);
-
-  SPCUBE_ASSIGN_OR_RETURN(
-      JobMetrics sketch_round,
-      RunSketchRound(engine, input, sketch_config, sketch_path));
-  SPCUBE_ASSIGN_OR_RETURN(
-      CubeRunOutput out, RunCubeRound(engine, input, options, sketch_path));
-  out.metrics.rounds.insert(out.metrics.rounds.begin(),
-                            std::move(sketch_round));
-  return out;
-}
-
-Result<CubeRunOutput> SpCubeAlgorithm::RunWithSketchFrom(
+Result<std::vector<CubeRunOutput>> SpCubeAlgorithm::RunRounds(
     Engine& engine, const Relation& sketch_input, const Relation& input,
-    const CubeRunOptions& options) {
-  SPCUBE_RETURN_IF_ERROR(ValidateCubeRunOptions(options));
-  if (sketch_input.num_dims() != input.num_dims()) {
-    return Status::InvalidArgument(
-        "sketch batch has " + std::to_string(sketch_input.num_dims()) +
-        " dims but the cube batch has " + std::to_string(input.num_dims()));
-  }
-  // The sketch models the *old* batch: sample rate and memory bound are
-  // resolved against sketch_input, as they were when it was built.
-  const SketchBuildConfig sketch_config =
-      ResolveSketchConfig(options_, engine, sketch_input.num_rows());
-  const std::string sketch_path =
-      "spcube/sketch/run_" + std::to_string(run_counter_++);
-
-  SPCUBE_ASSIGN_OR_RETURN(
-      JobMetrics sketch_round,
-      RunSketchRound(engine, sketch_input, sketch_config, sketch_path));
-  SPCUBE_ASSIGN_OR_RETURN(
-      CubeRunOutput out, RunCubeRound(engine, input, options, sketch_path));
-  out.metrics.rounds.insert(out.metrics.rounds.begin(),
-                            std::move(sketch_round));
-  return out;
-}
-
-Result<std::vector<CubeRunOutput>> SpCubeAlgorithm::RunManyAggregates(
-    Engine& engine, const Relation& input,
     const std::vector<CubeRunOptions>& options) {
   if (options.empty()) {
     return Status::InvalidArgument("need at least one aggregate to run");
@@ -186,15 +98,21 @@ Result<std::vector<CubeRunOutput>> SpCubeAlgorithm::RunManyAggregates(
   for (const CubeRunOptions& entry : options) {
     SPCUBE_RETURN_IF_ERROR(ValidateCubeRunOptions(entry));
   }
-  const SketchBuildConfig sketch_config =
-      ResolveSketchConfig(options_, engine, input.num_rows());
+  if (sketch_input.num_dims() != input.num_dims()) {
+    return Status::InvalidArgument(
+        "sketch batch has " + std::to_string(sketch_input.num_dims()) +
+        " dims but the cube batch has " + std::to_string(input.num_dims()));
+  }
+  // The sketch models `sketch_input`: sample rate and memory bound are
+  // resolved against it, as they were when it was built.
+  const SketchBuildConfig sketch_config = options_.sketch.ResolvedFor(
+      engine.config().num_workers, sketch_input.num_rows());
   const std::string sketch_path =
       "spcube/sketch/run_" + std::to_string(run_counter_++);
 
   SPCUBE_ASSIGN_OR_RETURN(
       JobMetrics sketch_round,
-      RunSketchRound(engine, input, sketch_config, sketch_path));
-
+      RunSketchRound(engine, sketch_input, sketch_config, sketch_path));
   std::vector<CubeRunOutput> outputs;
   outputs.reserve(options.size());
   for (const CubeRunOptions& entry : options) {
@@ -205,6 +123,26 @@ Result<std::vector<CubeRunOutput>> SpCubeAlgorithm::RunManyAggregates(
   outputs.front().metrics.rounds.insert(
       outputs.front().metrics.rounds.begin(), std::move(sketch_round));
   return outputs;
+}
+
+Result<CubeRunOutput> SpCubeAlgorithm::Run(Engine& engine,
+                                           const Relation& input,
+                                           const CubeRunOptions& options) {
+  return RunWithSketchFrom(engine, input, input, options);
+}
+
+Result<CubeRunOutput> SpCubeAlgorithm::RunWithSketchFrom(
+    Engine& engine, const Relation& sketch_input, const Relation& input,
+    const CubeRunOptions& options) {
+  SPCUBE_ASSIGN_OR_RETURN(std::vector<CubeRunOutput> outputs,
+                          RunRounds(engine, sketch_input, input, {options}));
+  return std::move(outputs.front());
+}
+
+Result<std::vector<CubeRunOutput>> SpCubeAlgorithm::RunManyAggregates(
+    Engine& engine, const Relation& input,
+    const std::vector<CubeRunOptions>& options) {
+  return RunRounds(engine, input, input, options);
 }
 
 }  // namespace spcube

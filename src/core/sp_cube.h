@@ -78,6 +78,13 @@ class SpCubeAlgorithm : public CubeAlgorithm {
   int64_t last_sketch_skews() const { return last_sketch_skews_; }
 
  private:
+  /// The one driver body behind Run, RunWithSketchFrom and
+  /// RunManyAggregates: validates, builds the sketch from `sketch_input`,
+  /// then runs one cube round over `input` per entry of `options`; the
+  /// sketch round's metrics are attached to the first output.
+  Result<std::vector<CubeRunOutput>> RunRounds(
+      Engine& engine, const Relation& sketch_input, const Relation& input,
+      const std::vector<CubeRunOptions>& options);
   /// Round 1; publishes the sketch at the returned DFS path.
   Result<JobMetrics> RunSketchRound(Engine& engine, const Relation& input,
                                     const SketchBuildConfig& config,

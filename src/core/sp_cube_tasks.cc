@@ -10,6 +10,7 @@
 #include "core/cube_algorithm.h"
 #include "cube/buc.h"
 #include "relation/tuple_codec.h"
+#include "sketch/builder.h"
 
 namespace spcube {
 namespace {
@@ -217,20 +218,8 @@ Status SpCubeReducer::ReduceSkewedGroup(const GroupKey& group,
   // Merge at most k partial states (one per mapper; more under the
   // no-mapper-aggregation ablation).
   const Aggregator& agg = GetAggregator(aggregate_);
-  AggState total = agg.Empty();
-  std::string value;
-  for (;;) {
-    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-    if (!more) break;
-    ByteReader reader(value);
-    AggState partial;
-    SPCUBE_RETURN_IF_ERROR(AggState::DecodeFrom(reader, &partial));
-    agg.Merge(total, partial);
-  }
-  if (min_count_ > 1 && aggregate_ == AggregateKind::kCount &&
-      total.v0 < min_count_) {
-    return Status::OK();
-  }
+  SPCUBE_ASSIGN_OR_RETURN(AggState total, MergeStates(agg, values));
+  if (!KeepsIcebergCell(aggregate_, min_count_, total)) return Status::OK();
   return context.Output(EncodeGroupKey(group, key_writer_),
                         EncodeCubeValueTo(agg.Finalize(total), value_writer_));
 }
@@ -253,10 +242,7 @@ Status SpCubeReducer::ReduceRangeGroup(const GroupKey& group,
       SPCUBE_RETURN_IF_ERROR(DecodeTuple(value, &dims, &measure));
       agg.Add(state, measure);
     }
-    if (min_count_ > 1 && aggregate_ == AggregateKind::kCount &&
-        state.v0 < min_count_) {
-      return Status::OK();
-    }
+    if (!KeepsIcebergCell(aggregate_, min_count_, state)) return Status::OK();
     return context.Output(
         EncodeGroupKey(group, key_writer_),
         EncodeCubeValueTo(agg.Finalize(state), value_writer_));
@@ -265,18 +251,7 @@ Status SpCubeReducer::ReduceRangeGroup(const GroupKey& group,
   // Materialize set(group) — O(m) w.h.p. by Prop. 4.6 — then compute the
   // group and every ancestor it owns with local BUC (Observation 2.6).
   Relation local(MakeAnonymousSchema(num_dims_));
-  std::string value;
-  std::vector<int64_t> dims;
-  int64_t measure = 0;
-  for (;;) {
-    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-    if (!more) break;
-    SPCUBE_RETURN_IF_ERROR(DecodeTuple(value, &dims, &measure));
-    if (static_cast<int>(dims.size()) != num_dims_) {
-      return Status::Corruption("tuple arity mismatch in range reducer");
-    }
-    local.AppendRow(dims, measure);
-  }
+  SPCUBE_RETURN_IF_ERROR(AppendTupleGroup(values, &local));
 
   int64_t owned = 0;
   int64_t rejected = 0;
@@ -290,11 +265,7 @@ Status SpCubeReducer::ReduceRangeGroup(const GroupKey& group,
   BucCompute(RelationView(local), group.mask, agg, buc_options,
              [&](const GroupKey& ancestor, const AggState& state) {
                if (!status.ok()) return;
-               if (min_count_ > 1 &&
-                   aggregate_ == AggregateKind::kCount &&
-                   state.v0 < min_count_) {
-                 return;
-               }
+               if (!KeepsIcebergCell(aggregate_, min_count_, state)) return;
                // Ownership rule (§5.1): compute an ancestor here only if
                // this group is its BFS-smallest non-skewed descendant;
                // otherwise another reducer (or the skew path) produces it.

@@ -200,29 +200,6 @@ class VectorOutputCollector : public OutputCollector {
   std::vector<Entry> entries_ SPCUBE_GUARDED_BY(mu_);
 };
 
-/// Forwards every record to two collectors (e.g. in-memory assembly plus a
-/// DFS writer). Either side may be null.
-class TeeOutputCollector : public OutputCollector {
- public:
-  TeeOutputCollector(OutputCollector* first, OutputCollector* second)
-      : first_(first), second_(second) {}
-
-  Status Collect(int reducer_id, std::string_view key,
-                 std::string_view value) override {
-    if (first_ != nullptr) {
-      SPCUBE_RETURN_IF_ERROR(first_->Collect(reducer_id, key, value));
-    }
-    if (second_ != nullptr) {
-      SPCUBE_RETURN_IF_ERROR(second_->Collect(reducer_id, key, value));
-    }
-    return Status::OK();
-  }
-
- private:
-  OutputCollector* first_;
-  OutputCollector* second_;
-};
-
 /// Discards all output (used when only metrics matter).
 class NullOutputCollector : public OutputCollector {
  public:

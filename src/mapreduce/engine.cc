@@ -360,7 +360,7 @@ MapTaskState RunMapTask(const RoundState& round, int w, int attempt_base) {
     ShuffleCounters counters;
     auto buffer = std::make_unique<ShuffleBuffer>(
         round.num_reducers, config.memory_budget_bytes, spec.combiner.get(),
-        round.temp_files, &counters, config.combine_headroom_fraction);
+        round.temp_files, &counters);
     // Logical run identity for fault injection: independent of host temp
     // paths, so a fixed seed replays the same corruptions.
     buffer->SetSpillResourcePrefix("run/j" + std::to_string(round.job_id) +
@@ -855,10 +855,6 @@ Engine::Engine(EngineConfig config, DistributedFileSystem* dfs)
     : config_(config), dfs_(dfs), temp_files_("engine") {
   SPCUBE_CHECK(config_.num_workers >= 1);
   SPCUBE_CHECK(config_.memory_budget_bytes > 0);
-  SPCUBE_CHECK(config_.combine_headroom_fraction > 0.0 &&
-               config_.combine_headroom_fraction <= 1.0)
-      << "combine_headroom_fraction must be in (0, 1], got "
-      << config_.combine_headroom_fraction;
   if (config_.fault_plan != nullptr && dfs_ != nullptr) {
     dfs_->SetFaultInjector(config_.fault_plan);
   }

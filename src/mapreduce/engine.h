@@ -68,13 +68,6 @@ struct EngineConfig {
   /// recovery (JobSpec::recovery).
   double retry_backoff_seconds = 0.0;
 
-  /// Map-side combine headroom: after combining, the shuffle buffer only
-  /// spills if it is still holding more than this fraction of
-  /// memory_budget_bytes. Below that, the freed headroom is kept so the
-  /// next combine window can batch more duplicates (higher combine ratio at
-  /// the cost of a fuller buffer). Must be in (0, 1].
-  double combine_headroom_fraction = 0.75;
-
   /// Re-execute injected stragglers speculatively: the slow original is
   /// charged at most twice its measured time (it is killed when the backup
   /// finishes) and the backup's measured time is charged to another live

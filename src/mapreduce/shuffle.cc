@@ -261,29 +261,29 @@ Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
   return Status::OK();
 }
 
+/// Map-side combine headroom: after combining, the buffer only spills if it
+/// still holds more than this fraction of its memory budget. Below that,
+/// the freed headroom is kept so the next combine window can batch more
+/// duplicates (a higher combine ratio at the cost of a fuller buffer).
+constexpr double kCombineHeadroomFraction = 0.75;
+
 }  // namespace
 
 ShuffleBuffer::ShuffleBuffer(int num_partitions,
                              int64_t memory_budget_bytes,
                              const Combiner* combiner,
                              TempFileManager* temp_files,
-                             ShuffleCounters* counters,
-                             double combine_headroom_fraction)
+                             ShuffleCounters* counters)
     : num_partitions_(num_partitions),
       memory_budget_bytes_(memory_budget_bytes),
       combine_headroom_bytes_(static_cast<int64_t>(
           static_cast<double>(memory_budget_bytes) *
-          combine_headroom_fraction)),
+          kCombineHeadroomFraction)),
       combiner_(combiner),
       temp_files_(temp_files),
       counters_(counters),
       partitions_(static_cast<size_t>(num_partitions)),
-      spill_runs_(static_cast<size_t>(num_partitions)) {
-  SPCUBE_DCHECK(combine_headroom_fraction > 0.0 &&
-                combine_headroom_fraction <= 1.0)
-      << "combine_headroom_fraction must be in (0, 1], got "
-      << combine_headroom_fraction;
-}
+      spill_runs_(static_cast<size_t>(num_partitions)) {}
 
 ShuffleBuffer::~ShuffleBuffer() {
   // Any run still here belongs to an attempt whose output was never
@@ -449,7 +449,7 @@ Status ShuffleBuffer::Overflow() {
     // Keep the buffer only if combining freed real headroom; a buffer that
     // hovers near the budget would otherwise re-combine after every few
     // records (quadratic). Hadoop applies the same spill-anyway rule. The
-    // threshold is EngineConfig::combine_headroom_fraction of the budget.
+    // threshold is kCombineHeadroomFraction of the budget.
     if (buffered_bytes_ <= combine_headroom_bytes_) {
       return Status::OK();
     }

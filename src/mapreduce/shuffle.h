@@ -262,15 +262,9 @@ class ShuffleSegment {
 class ShuffleBuffer {
  public:
   /// `combiner` may be null. `temp_files` outlives the buffer.
-  /// `combine_headroom_fraction` (in (0, 1], see
-  /// EngineConfig::combine_headroom_fraction) is the post-combine fill level
-  /// above which the buffer still spills: combining that frees at least
-  /// 1 - fraction of the budget defers the spill so the next combine window
-  /// batches more duplicates.
   ShuffleBuffer(int num_partitions, int64_t memory_budget_bytes,
                 const Combiner* combiner, TempFileManager* temp_files,
-                ShuffleCounters* counters,
-                double combine_headroom_fraction = 0.75);
+                ShuffleCounters* counters);
 
   /// Deletes the files of any spill runs that were never taken — the
   /// eager cleanup of a failed (and retried) map attempt's private output.
@@ -354,8 +348,8 @@ class ShuffleBuffer {
 
   int num_partitions_;
   int64_t memory_budget_bytes_;
-  /// Post-combine spill threshold in bytes:
-  /// memory_budget_bytes_ * combine_headroom_fraction.
+  /// Post-combine spill threshold in bytes: memory_budget_bytes_ *
+  /// kCombineHeadroomFraction (shuffle.cc).
   int64_t combine_headroom_bytes_;
   const Combiner* combiner_;
   TempFileManager* temp_files_;

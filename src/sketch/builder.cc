@@ -10,6 +10,16 @@
 
 namespace spcube {
 
+SketchBuildConfig SketchBuildConfig::ResolvedFor(int num_workers,
+                                                 int64_t total_rows) const {
+  SketchBuildConfig config = *this;
+  if (config.num_partitions <= 0) config.num_partitions = num_workers;
+  if (config.memory_tuples_m <= 0) {
+    config.memory_tuples_m = std::max<int64_t>(1, total_rows / num_workers);
+  }
+  return config;
+}
+
 int64_t SketchBuildConfig::EffectiveM(int64_t total_rows) const {
   if (memory_tuples_m > 0) return memory_tuples_m;
   return std::max<int64_t>(1, total_rows / num_partitions);
@@ -117,6 +127,23 @@ Result<SpSketch> BuildSketchLocal(const Relation& input,
   return BuildSketchFromSample(sample, input.num_rows(), config);
 }
 
+Status AppendTupleGroup(ValueStream& values, Relation* relation) {
+  std::string value;
+  std::vector<int64_t> dims;
+  int64_t measure = 0;
+  for (;;) {
+    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
+    if (!more) return Status::OK();
+    SPCUBE_RETURN_IF_ERROR(DecodeTuple(value, &dims, &measure));
+    if (static_cast<int>(dims.size()) != relation->num_dims()) {
+      return Status::Corruption(
+          "tuple of arity " + std::to_string(dims.size()) + " in a " +
+          std::to_string(relation->num_dims()) + "-dim relation");
+    }
+    relation->AppendRow(dims, measure);
+  }
+}
+
 Status SketchSampleMapper::Setup(const TaskContext& task) {
   // Independent stream per mapper, deterministic in (seed, worker).
   rng_ = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL *
@@ -142,19 +169,7 @@ Status SketchBuildReducer::Reduce(const std::string& key,
   if (key != kSampleKey) {
     return Status::Internal("unexpected key in sketch round: " + key);
   }
-  std::string value;
-  std::vector<int64_t> dims;
-  int64_t measure = 0;
-  for (;;) {
-    SPCUBE_ASSIGN_OR_RETURN(bool more, values.Next(&value));
-    if (!more) break;
-    SPCUBE_RETURN_IF_ERROR(DecodeTuple(value, &dims, &measure));
-    if (static_cast<int>(dims.size()) != num_dims_) {
-      return Status::Corruption("sampled tuple arity mismatch");
-    }
-    sample_.AppendRow(dims, measure);
-  }
-  return Status::OK();
+  return AppendTupleGroup(values, &sample_);
 }
 
 Status SketchBuildReducer::Finish(ReduceContext& context) {

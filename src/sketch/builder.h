@@ -30,6 +30,11 @@ struct SketchBuildConfig {
   /// Seed of the Bernoulli sampler.
   uint64_t seed = 42;
 
+  /// This config with the engine-derived defaults filled in: k =
+  /// `num_workers` when num_partitions is 0, m = n/k when memory_tuples_m
+  /// is 0 (n = `total_rows`).
+  SketchBuildConfig ResolvedFor(int num_workers, int64_t total_rows) const;
+
   /// Effective m for a relation of n tuples.
   int64_t EffectiveM(int64_t total_rows) const;
 
@@ -80,8 +85,7 @@ class SketchBuildReducer : public Reducer {
  public:
   SketchBuildReducer(int num_dims, int64_t total_rows,
                      SketchBuildConfig config, std::string dfs_output_path)
-      : num_dims_(num_dims),
-        total_rows_(total_rows),
+      : total_rows_(total_rows),
         config_(config),
         dfs_output_path_(std::move(dfs_output_path)),
         sample_(MakeAnonymousSchema(num_dims)) {}
@@ -92,13 +96,17 @@ class SketchBuildReducer : public Reducer {
   Status Finish(ReduceContext& context) override;
 
  private:
-  int num_dims_;
   int64_t total_rows_;
   SketchBuildConfig config_;
   std::string dfs_output_path_;
   Relation sample_;
   DistributedFileSystem* dfs_ = nullptr;
 };
+
+/// Appends every EncodeTuple-encoded value of one reduce group to
+/// `*relation`. A value that fails to decode, or whose arity differs from
+/// the relation's, yields Corruption; rows appended before it stay.
+Status AppendTupleGroup(ValueStream& values, Relation* relation);
 
 /// The single shuffle key used by the sampling round (all samples meet at
 /// one reducer, paper Algorithm 2 line 5 emits key 0).

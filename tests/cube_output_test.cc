@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "baselines/hive.h"
 #include "baselines/mrcube.h"
 #include "baselines/naive.h"
@@ -23,9 +27,16 @@ EngineConfig TestConfig() {
   return config;
 }
 
+CubeRunOptions DfsOnly(const std::string& root) {
+  CubeRunOptions options;
+  options.collect_output = false;
+  options.dfs_output_root = root;
+  return options;
+}
+
 TEST(DfsCubeWriterTest, WriteAndReadBack) {
   DistributedFileSystem dfs;
-  DfsCubeWriter writer(&dfs, "out");
+  CubeCollector writer(DfsOnly("out"), &dfs, 2);
   ByteWriter key_writer;
   GroupKey(0b01, {7}).EncodeTo(key_writer);
   ByteWriter value_writer;
@@ -53,8 +64,24 @@ TEST(DfsCubeWriterTest, WriteAndReadBack) {
 
 TEST(DfsCubeWriterTest, RejectsGarbageKeys) {
   DistributedFileSystem dfs;
-  DfsCubeWriter writer(&dfs, "out");
+  CubeCollector writer(DfsOnly("out"), &dfs, 2);
   EXPECT_FALSE(writer.Collect(0, "", "x").ok());
+  // A well-formed key with a truncated value is rejected too.
+  ByteWriter key_writer;
+  GroupKey(0b1, {3}).EncodeTo(key_writer);
+  EXPECT_EQ(writer.Collect(0, key_writer.data(), "abc").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(dfs.file_count(), 0);
+}
+
+TEST(CubeCollectorTest, DiscardsWithoutDecodingWhenNothingRequested) {
+  DistributedFileSystem dfs;
+  CubeCollector collector(DfsOnly(""), &dfs, 2);
+  EXPECT_FALSE(collector.wants_cells());
+  // Garbage would fail to decode; discarding must not even look at it.
+  EXPECT_TRUE(collector.Collect(0, "", "x").ok());
+  EXPECT_EQ(collector.TakeCube(), nullptr);
+  EXPECT_EQ(dfs.file_count(), 0);
 }
 
 TEST(DfsCubeWriterTest, ReadRejectsCorruptPart) {
@@ -116,21 +143,26 @@ TEST_F(DfsOutputAlgorithmTest, TopDown) {
 
 TEST(DfsOutputTest, WorksWithoutInMemoryCollection) {
   Relation rel = GenUniform(800, 2, 10, 123);
-  DistributedFileSystem dfs;
-  Engine engine(TestConfig(), &dfs);
-  SpCubeAlgorithm sp;
-  CubeRunOptions options;
-  options.collect_output = false;
-  options.dfs_output_root = "only/dfs";
-  auto output = sp.Run(engine, rel, options);
-  ASSERT_TRUE(output.ok());
-  EXPECT_EQ(output->cube, nullptr);
-  auto from_dfs = ReadCubeFromDfs(dfs, "only/dfs", 2);
-  ASSERT_TRUE(from_dfs.ok());
   CubeResult reference = ComputeCubeReference(rel, AggregateKind::kCount);
-  std::string diff;
-  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *from_dfs, 1e-9, &diff))
-      << diff;
+  SpCubeAlgorithm sp;
+  NaiveCubeAlgorithm naive;
+  HiveCubeAlgorithm hive;
+  MrCubeAlgorithm mrcube;
+  TopDownCubeAlgorithm topdown;
+  for (CubeAlgorithm* algorithm :
+       std::vector<CubeAlgorithm*>{&sp, &naive, &hive, &mrcube, &topdown}) {
+    SCOPED_TRACE(algorithm->name());
+    DistributedFileSystem dfs;
+    Engine engine(TestConfig(), &dfs);
+    auto output = algorithm->Run(engine, rel, DfsOnly("only/dfs"));
+    ASSERT_TRUE(output.ok()) << output.status();
+    EXPECT_EQ(output->cube, nullptr);
+    auto from_dfs = ReadCubeFromDfs(dfs, "only/dfs", 2);
+    ASSERT_TRUE(from_dfs.ok()) << from_dfs.status();
+    std::string diff;
+    EXPECT_TRUE(CubeResult::ApproxEqual(reference, *from_dfs, 1e-9, &diff))
+        << diff;
+  }
 }
 
 }  // namespace

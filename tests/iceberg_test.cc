@@ -7,6 +7,8 @@
 #include "baselines/hive.h"
 #include "baselines/mrcube.h"
 #include "baselines/naive.h"
+#include "baselines/topdown.h"
+#include "core/cube_output.h"
 #include "core/sp_cube.h"
 #include "cube/cube_result.h"
 #include "relation/generators.h"
@@ -39,6 +41,7 @@ void ExpectIcebergMatches(CubeAlgorithm& algorithm, const Relation& rel,
   Engine engine(TestConfig(), &dfs);
   CubeRunOptions options;
   options.iceberg_min_count = min_count;
+  options.dfs_output_root = "iceberg/out";
   auto output = algorithm.Run(engine, rel, options);
   ASSERT_TRUE(output.ok()) << algorithm.name() << ": " << output.status();
   CubeResult expected = FilteredReference(rel, min_count);
@@ -46,6 +49,13 @@ void ExpectIcebergMatches(CubeAlgorithm& algorithm, const Relation& rel,
   EXPECT_TRUE(
       CubeResult::ApproxEqual(expected, *output->cube, 1e-6, &diff))
       << algorithm.name() << " T=" << min_count << ":\n"
+      << diff;
+  // The DFS copy holds exactly the in-memory cells.
+  auto from_dfs = ReadCubeFromDfs(dfs, options.dfs_output_root,
+                                  rel.num_dims());
+  ASSERT_TRUE(from_dfs.ok()) << algorithm.name() << ": " << from_dfs.status();
+  EXPECT_TRUE(CubeResult::ApproxEqual(*output->cube, *from_dfs, 0.0, &diff))
+      << algorithm.name() << " T=" << min_count << " (DFS):\n"
       << diff;
 }
 
@@ -68,6 +78,11 @@ TEST_P(IcebergTest, MrCubeMatchesFilteredReference) {
 
 TEST_P(IcebergTest, HiveMatchesFilteredReference) {
   HiveCubeAlgorithm algorithm;
+  ExpectIcebergMatches(algorithm, GenBinomial(2000, 3, 0.4, 51), GetParam());
+}
+
+TEST_P(IcebergTest, TopDownMatchesFilteredReference) {
+  TopDownCubeAlgorithm algorithm;
   ExpectIcebergMatches(algorithm, GenBinomial(2000, 3, 0.4, 51), GetParam());
 }
 

@@ -15,6 +15,7 @@
 #include "baselines/hive.h"
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "core/cube_output.h"
 #include "core/sp_cube.h"
 #include "cube/cube_result.h"
 #include "cube/group_key.h"
@@ -224,7 +225,7 @@ TEST(RecoveryTest, SplitPartitionMergesOnceOverAllLeaves) {
         [merge = spec.recovery.merge_reducer_factory]() {
           return std::make_unique<CountingMergeReducer>(merge());
         };
-    VectorOutputCollector collector;
+    CubeCollector collector(CubeRunOptions{}, &dfs, rel.num_dims());
     auto metrics = engine.Run(spec, rel, &collector);
     ASSERT_TRUE(metrics.ok()) << metrics.status();
 
@@ -233,8 +234,8 @@ TEST(RecoveryTest, SplitPartitionMergesOnceOverAllLeaves) {
         << "no split recursed past depth 1";
     EXPECT_EQ(metrics->custom_counters["merge_rounds"],
               metrics->reduce_partitions_split);
-    auto cube = CollectCube(collector, rel.num_dims());
-    ASSERT_TRUE(cube.ok()) << cube.status();
+    const std::unique_ptr<CubeResult> cube = collector.TakeCube();
+    ASSERT_NE(cube, nullptr);
     std::string diff;
     EXPECT_TRUE(CubeResult::ApproxEqual(reference, *cube, 1e-9, &diff))
         << diff;

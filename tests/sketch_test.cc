@@ -7,9 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cube/cube_result.h"
 #include "relation/generators.h"
+#include "relation/tuple_codec.h"
 #include "sketch/builder.h"
 #include "sketch/sp_sketch.h"
 
@@ -364,6 +368,61 @@ TEST(SketchBuilderTest, DeterministicForSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->Serialize(), b->Serialize());
+}
+
+TEST(SketchBuildConfigTest, ResolvedForFillsOnlyUnsetFields) {
+  const SketchBuildConfig derived = SketchBuildConfig{}.ResolvedFor(4, 1000);
+  EXPECT_EQ(derived.num_partitions, 4);
+  EXPECT_EQ(derived.memory_tuples_m, 250);
+  EXPECT_EQ(SketchBuildConfig{}.ResolvedFor(8, 3).memory_tuples_m, 1);
+
+  SketchBuildConfig fixed;
+  fixed.num_partitions = 3;
+  fixed.memory_tuples_m = 7;
+  const SketchBuildConfig kept = fixed.ResolvedFor(4, 1000);
+  EXPECT_EQ(kept.num_partitions, 3);
+  EXPECT_EQ(kept.memory_tuples_m, 7);
+}
+
+/// Serves a fixed list of values as one reduce group.
+class ListValueStream : public ValueStream {
+ public:
+  explicit ListValueStream(std::vector<std::string> values)
+      : values_(std::move(values)) {}
+
+  Result<bool> Next(std::string* value) override {
+    if (next_ == values_.size()) return false;
+    *value = values_[next_++];
+    return true;
+  }
+
+ private:
+  std::vector<std::string> values_;
+  size_t next_ = 0;
+};
+
+TEST(AppendTupleGroupTest, WrongArityIsCorruptionAndKeepsEarlierRows) {
+  Relation relation(MakeAnonymousSchema(2));
+  ListValueStream values({EncodeTuple(std::vector<int64_t>{1, 2}, 10),
+                          EncodeTuple(std::vector<int64_t>{1, 2, 3}, 20),
+                          EncodeTuple(std::vector<int64_t>{5, 6}, 30)});
+  EXPECT_EQ(AppendTupleGroup(values, &relation).code(),
+            StatusCode::kCorruption);
+  ASSERT_EQ(relation.num_rows(), 1);
+  EXPECT_EQ(relation.row(0)[0], 1);
+  EXPECT_EQ(relation.row(0)[1], 2);
+  EXPECT_EQ(relation.measure(0), 10);
+}
+
+TEST(AppendTupleGroupTest, TruncatedTupleIsCorruptionAndKeepsEarlierRows) {
+  Relation relation(MakeAnonymousSchema(2));
+  const std::string whole = EncodeTuple(std::vector<int64_t>{7, 8}, 9);
+  ListValueStream values({whole, whole.substr(0, whole.size() - 1)});
+  EXPECT_EQ(AppendTupleGroup(values, &relation).code(),
+            StatusCode::kCorruption);
+  ASSERT_EQ(relation.num_rows(), 1);
+  EXPECT_EQ(relation.row(0)[0], 7);
+  EXPECT_EQ(relation.measure(0), 9);
 }
 
 }  // namespace

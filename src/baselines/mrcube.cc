@@ -34,73 +34,6 @@ Status DecodeMrKey(std::string_view bytes, GroupKey* key,
   return Status::OK();
 }
 
-/// Round-1 reduce task: rebuilds the sample, finds each cuboid's largest
-/// group, and derives the per-cuboid value-partition factor.
-class AnnotateReducer : public Reducer {
- public:
-  AnnotateReducer(int num_dims, int64_t total_rows, SketchBuildConfig config,
-                  std::string dfs_path)
-      : num_dims_(num_dims),
-        total_rows_(total_rows),
-        config_(config),
-        dfs_path_(std::move(dfs_path)),
-        sample_(MakeAnonymousSchema(num_dims)) {}
-
-  Status Setup(const TaskContext& task) override {
-    dfs_ = task.dfs;
-    return Status::OK();
-  }
-
-  Status Reduce(const std::string& /*key*/, ValueStream& values,
-                ReduceContext& /*context*/) override {
-    return AppendTupleGroup(values, &sample_);
-  }
-
-  Status Finish(ReduceContext& context) override {
-    const double alpha = config_.SampleAlpha(total_rows_);
-    const double beta = config_.SkewBeta(total_rows_);
-    const int64_t m = config_.EffectiveM(total_rows_);
-
-    // Largest estimated group per cuboid, via an iceberg BUC over the
-    // sample (groups below the skew threshold never force partitioning).
-    std::vector<int64_t> largest(
-        static_cast<size_t>(NumCuboids(num_dims_)), 0);
-    BucOptions options;
-    options.min_support = static_cast<int64_t>(std::floor(beta)) + 1;
-    BucComputeFull(sample_, GetAggregator(AggregateKind::kCount), options,
-                   [&](const GroupKey& key, const AggState& state) {
-                     const int64_t estimate = static_cast<int64_t>(
-                         static_cast<double>(state.v0) / alpha);
-                     largest[key.mask] = std::max(largest[key.mask],
-                                                  estimate);
-                   });
-
-    MrCubeAnnotations annotations;
-    annotations.num_dims = num_dims_;
-    annotations.partition_factor.resize(largest.size(), 1);
-    for (size_t mask = 0; mask < largest.size(); ++mask) {
-      if (largest[mask] > m) {
-        annotations.partition_factor[mask] = static_cast<int32_t>(
-            std::min<int64_t>(1 + (largest[mask] - 1) / m, 1 << 16));
-      }
-    }
-    if (dfs_ == nullptr) {
-      return Status::FailedPrecondition("annotate reducer has no DFS");
-    }
-    SPCUBE_RETURN_IF_ERROR(
-        dfs_->Overwrite(dfs_path_, annotations.Serialize()));
-    return context.Output("annotations", std::to_string(largest.size()));
-  }
-
- private:
-  int num_dims_;
-  int64_t total_rows_;
-  SketchBuildConfig config_;
-  std::string dfs_path_;
-  Relation sample_;
-  DistributedFileSystem* dfs_ = nullptr;
-};
-
 /// Round-2 map task: one (cuboid projection [+ sub-partition], singleton
 /// state) pair per lattice node of every tuple — n * 2^d pre-combine pairs,
 /// the behaviour whose cost the paper's Figures 4c/6b/7c expose.
@@ -225,7 +158,92 @@ class IdentityRecordMapper : public Mapper {
   }
 };
 
+/// Round-2 output sink. Friendly cuboids' cells are final and go straight
+/// to the cube; partitioned cuboids' partial states are kept, copied once,
+/// as the post-aggregation round's input. The engine delivers a round's
+/// output on the calling thread (FoldRound), so no lock is needed.
+class Round2Router : public OutputCollector {
+ public:
+  Round2Router(const MrCubeAnnotations* annotations, OutputCollector* cells,
+               std::vector<Record>* partials)
+      : annotations_(annotations), cells_(cells), partials_(partials) {}
+
+  Status Collect(int reducer_id, std::string_view key,
+                 std::string_view value) override {
+    // An encoded GroupKey starts with its cuboid mask.
+    ByteReader reader(key);
+    uint64_t mask = 0;
+    SPCUBE_RETURN_IF_ERROR(reader.GetVarint(&mask));
+    if (mask >= annotations_->partition_factor.size()) {
+      return Status::Corruption("round-2 cell's cuboid is outside the lattice");
+    }
+    if (annotations_->partition_factor[mask] <= 1) {
+      return cells_->Collect(reducer_id, key, value);
+    }
+    partials_->push_back(Record{std::string(key), std::string(value)});
+    return Status::OK();
+  }
+
+  /// An upper bound: friendly cells are not kept here.
+  void Reserve(int64_t records) override {
+    partials_->reserve(partials_->size() + static_cast<size_t>(records));
+  }
+
+ private:
+  const MrCubeAnnotations* annotations_;
+  OutputCollector* cells_;
+  std::vector<Record>* partials_;
+};
+
 }  // namespace
+
+Status MrCubeAnnotateReducer::Setup(const TaskContext& task) {
+  dfs_ = task.dfs;
+  return Status::OK();
+}
+
+Status MrCubeAnnotateReducer::Reduce(const std::string& key,
+                                     ValueStream& values,
+                                     ReduceContext& /*context*/) {
+  if (key != kSampleKey) {
+    return Status::Internal("unexpected key in annotate round: " + key);
+  }
+  return AppendTupleGroup(values, &sample_);
+}
+
+Status MrCubeAnnotateReducer::Finish(ReduceContext& context) {
+  const double alpha = config_.SampleAlpha(total_rows_);
+  const double beta = config_.SkewBeta(total_rows_);
+  const int64_t m = config_.EffectiveM(total_rows_);
+
+  // Largest estimated group per cuboid, via an iceberg BUC over the
+  // sample (groups below the skew threshold never force partitioning).
+  std::vector<int64_t> largest(static_cast<size_t>(NumCuboids(num_dims_)),
+                               0);
+  BucOptions options;
+  options.min_support = static_cast<int64_t>(std::floor(beta)) + 1;
+  BucComputeFull(sample_, GetAggregator(AggregateKind::kCount), options,
+                 [&](const GroupKey& key, const AggState& state) {
+                   const int64_t estimate = static_cast<int64_t>(
+                       static_cast<double>(state.v0) / alpha);
+                   largest[key.mask] = std::max(largest[key.mask], estimate);
+                 });
+
+  MrCubeAnnotations annotations;
+  annotations.num_dims = num_dims_;
+  annotations.partition_factor.resize(largest.size(), 1);
+  for (size_t mask = 0; mask < largest.size(); ++mask) {
+    if (largest[mask] > m) {
+      annotations.partition_factor[mask] = static_cast<int32_t>(
+          std::min<int64_t>(1 + (largest[mask] - 1) / m, 1 << 16));
+    }
+  }
+  if (dfs_ == nullptr) {
+    return Status::FailedPrecondition("annotate reducer has no DFS");
+  }
+  SPCUBE_RETURN_IF_ERROR(dfs_->Overwrite(dfs_path_, annotations.Serialize()));
+  return context.Output("annotations", std::to_string(largest.size()));
+}
 
 std::string MrCubeAnnotations::Serialize() const {
   ByteWriter writer;
@@ -285,8 +303,8 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
     };
     spec.reducer_factory = [num_dims = input.num_dims(), n, sampling,
                             annotations_path]() {
-      return std::make_unique<AnnotateReducer>(num_dims, n, sampling,
-                                               annotations_path);
+      return std::make_unique<MrCubeAnnotateReducer>(num_dims, n, sampling,
+                                                     annotations_path);
     };
     NullOutputCollector sink;
     SPCUBE_ASSIGN_OR_RETURN(JobMetrics round, engine.Run(spec, input, &sink));
@@ -304,7 +322,7 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
 
   // ---- Round 2: materialize the cube --------------------------------------
   CubeCollector cells(options, engine.dfs(), input.num_dims());
-  VectorOutputCollector round2_output;
+  std::vector<Record> partials;
   {
     JobSpec spec;
     spec.name = "mrcube-materialize";
@@ -317,24 +335,10 @@ Result<CubeRunOutput> MrCubeAlgorithm::Run(Engine& engine,
                                              min_count);
     };
     spec.combiner = std::make_shared<AggStateCombiner>(options.aggregate);
+    Round2Router router(&annotations, &cells, &partials);
     SPCUBE_ASSIGN_OR_RETURN(JobMetrics round,
-                            engine.Run(spec, input, &round2_output));
+                            engine.Run(spec, input, &router));
     out.metrics.Add(std::move(round));
-  }
-
-  // Friendly cuboids' round-2 cells are final; partitioned cuboids' partial
-  // states still need the post-aggregation round.
-  std::vector<Record> partials;
-  for (const VectorOutputCollector::Entry& entry : round2_output.entries()) {
-    ByteReader reader(entry.key);
-    GroupKey group;
-    SPCUBE_RETURN_IF_ERROR(GroupKey::DecodeFrom(reader, &group));
-    if (annotations.partition_factor[group.mask] <= 1) {
-      SPCUBE_RETURN_IF_ERROR(
-          cells.Collect(entry.reducer_id, entry.key, entry.value));
-    } else {
-      partials.push_back(Record{entry.key, entry.value});
-    }
   }
 
   // ---- Round 3: post-aggregate value-partitioned groups -------------------

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cube_algorithm.h"
@@ -22,6 +23,34 @@ struct MrCubeAnnotations {
 
   std::string Serialize() const;
   static Result<MrCubeAnnotations> Deserialize(std::string_view bytes);
+};
+
+/// Round-1 reduce task: rebuilds the sample (the one group under
+/// kSampleKey; any other key is an Internal error), finds each cuboid's
+/// largest group, derives the per-cuboid value-partition factor, and
+/// publishes the MrCubeAnnotations to the DFS under `dfs_path`.
+class MrCubeAnnotateReducer : public Reducer {
+ public:
+  MrCubeAnnotateReducer(int num_dims, int64_t total_rows,
+                        SketchBuildConfig config, std::string dfs_path)
+      : num_dims_(num_dims),
+        total_rows_(total_rows),
+        config_(config),
+        dfs_path_(std::move(dfs_path)),
+        sample_(MakeAnonymousSchema(num_dims)) {}
+
+  Status Setup(const TaskContext& task) override;
+  Status Reduce(const std::string& key, ValueStream& values,
+                ReduceContext& context) override;
+  Status Finish(ReduceContext& context) override;
+
+ private:
+  int num_dims_;
+  int64_t total_rows_;
+  SketchBuildConfig config_;
+  std::string dfs_path_;
+  Relation sample_;
+  DistributedFileSystem* dfs_ = nullptr;
 };
 
 struct MrCubeOptions {

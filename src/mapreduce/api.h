@@ -173,6 +173,11 @@ class OutputCollector {
 
   virtual Status Collect(int reducer_id, std::string_view key,
                          std::string_view value) = 0;
+
+  /// Called once per round before its output is delivered, with the number
+  /// of records that follow, so a collector that stores them can size its
+  /// storage once instead of growing it record by record.
+  virtual void Reserve(int64_t /*records*/) {}
 };
 
 /// Thread-safe in-memory collector.

@@ -838,6 +838,7 @@ Status FoldRound(RoundState& round, OutputCollector* collector) {
   metrics.shuffle_checksum_mismatches = shuffle.checksum_mismatches;
 
   if (collector == nullptr) return Status::OK();
+  collector->Reserve(metrics.output_records);
   for (int p = 0; p < round.num_reducers; ++p) {
     // Moved out so each partition's records are freed once delivered.
     const std::vector<Record> output =

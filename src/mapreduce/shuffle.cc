@@ -607,7 +607,12 @@ class InMemoryGroupedStream : public GroupedRecordStream {
 };
 
 /// K-way merge over sorted run files; streams groups without materializing
-/// them. Heads are ordered by (key, run index) for determinism. Paths in
+/// them. A binary min-heap of run indices yields heads in (key, run index)
+/// order — equal keys leave their runs lowest index first, the order of a
+/// stable sort of the runs' concatenation. The heap compares a head's
+/// first 8 key bytes (KeyChunk) before its full key, so keys that differ
+/// early never reach a string compare. Heads are views into their run's
+/// decoder and fetch buffer, valid until that run's next Advance. Paths in
 /// `owned_paths` (the attempt-private run MakeGroupedStream sorts out of the
 /// in-memory records) are deleted on destruction, whether or not the attempt
 /// succeeded.
@@ -643,83 +648,99 @@ class MergingGroupedStream : public GroupedRecordStream {
     // into its run's current block until the next fetch replaces it.
     decoders_.resize(readers_.size());
     blocks_.resize(readers_.size());
+    heap_.reserve(readers_.size());
     for (size_t i = 0; i < readers_.size(); ++i) {
-      SPCUBE_RETURN_IF_ERROR(Advance(i));
+      SPCUBE_ASSIGN_OR_RETURN(bool valid, Advance(i));
+      if (valid) heap_.push_back(static_cast<uint32_t>(i));
     }
+    for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
     return Status::OK();
   }
 
   Result<bool> NextGroup(std::string* key) override {
-    // Drain any unread values of the previous group.
-    if (in_group_) {
-      std::string scratch;
-      for (;;) {
-        SPCUBE_ASSIGN_OR_RETURN(bool more, NextValue(&scratch));
-        if (!more) break;
-      }
-    }
-    const int run = MinRun();
-    if (run < 0) return false;
-    current_key_ = heads_[static_cast<size_t>(run)].record.key;
+    // Skip any unread values of the previous group.
+    while (InGroup()) SPCUBE_RETURN_IF_ERROR(PopTop());
+    if (heap_.empty()) return false;
+    current_key_.assign(heads_[heap_[0]].key);
     *key = current_key_;
     in_group_ = true;
     return true;
   }
 
   Result<bool> NextValue(std::string* value) override {
-    if (!in_group_) return false;
-    const int run = MinRun();
-    if (run < 0 ||
-        heads_[static_cast<size_t>(run)].record.key != current_key_) {
-      in_group_ = false;
-      return false;
-    }
-    // Assign (not move) so the head string keeps its capacity for the next
-    // record parsed into it.
-    *value = heads_[static_cast<size_t>(run)].record.value;
-    SPCUBE_RETURN_IF_ERROR(Advance(static_cast<size_t>(run)));
+    if (!InGroup()) return false;
+    value->assign(heads_[heap_[0]].value);
+    SPCUBE_RETURN_IF_ERROR(PopTop());
     return true;
   }
 
  private:
   struct Head {
-    Record record;
-    bool valid = false;
+    uint64_t prefix = 0;  // KeyChunk(key, 0)
+    // spcube-analyzer: allow(view-escape): views into this stream's decoders_/blocks_ entry for the same run, valid until that run's next Advance
+    std::string_view key;
+    // spcube-analyzer: allow(view-escape): same lifetime as `key`
+    std::string_view value;
   };
 
-  Status Advance(size_t run) {
+  /// Whether the heap's top head continues the current group; ends the
+  /// group once it does not.
+  bool InGroup() {
+    in_group_ = in_group_ && !heap_.empty() &&
+                heads_[heap_[0]].key == current_key_;
+    return in_group_;
+  }
+
+  /// Heap order: (key prefix, full key, run index).
+  bool Less(uint32_t a, uint32_t b) const {
+    const Head& x = heads_[a];
+    const Head& y = heads_[b];
+    if (x.prefix != y.prefix) return x.prefix < y.prefix;
+    const int order = x.key.compare(y.key);
+    return order != 0 ? order < 0 : a < b;
+  }
+
+  void SiftDown(size_t pos) {
+    const size_t n = heap_.size();
+    const uint32_t run = heap_[pos];
     for (;;) {
-      std::string_view key;
-      std::string_view value;
-      SPCUBE_ASSIGN_OR_RETURN(bool record, decoders_[run].Next(&key, &value));
+      size_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && Less(heap_[child + 1], heap_[child])) ++child;
+      if (!Less(heap_[child], run)) break;
+      heap_[pos] = heap_[child];
+      pos = child;
+    }
+    heap_[pos] = run;
+  }
+
+  /// Consumes the top head: advances its run and restores the heap.
+  Status PopTop() {
+    SPCUBE_ASSIGN_OR_RETURN(bool valid, Advance(heap_[0]));
+    if (!valid) {
+      heap_[0] = heap_.back();
+      heap_.pop_back();
+    }
+    if (!heap_.empty()) SiftDown(0);
+    return Status::OK();
+  }
+
+  /// Decodes run `run`'s next record into its head; false once the run is
+  /// exhausted. Invalidates the run's previous head views.
+  Result<bool> Advance(size_t run) {
+    Head& head = heads_[run];
+    for (;;) {
+      SPCUBE_ASSIGN_OR_RETURN(bool record,
+                              decoders_[run].Next(&head.key, &head.value));
       if (record) {
-        heads_[run].record.key.assign(key);
-        heads_[run].record.value.assign(value);
-        heads_[run].valid = true;
-        return Status::OK();
+        head.prefix = KeyChunk(head.key, 0);
+        return true;
       }
       // Current block exhausted (or first call): fetch the run's next block.
       SPCUBE_ASSIGN_OR_RETURN(bool more, readers_[run]->Next(&blocks_[run]));
-      if (!more) {
-        heads_[run].valid = false;
-        return Status::OK();
-      }
+      if (!more) return false;
       decoders_[run].SetBlock(blocks_[run]);
     }
-  }
-
-  /// Index of the run whose head has the smallest key, or -1. Linear scan —
-  /// run counts are small (one per spill); switch to a heap if they grow.
-  int MinRun() const {
-    int best = -1;
-    for (size_t i = 0; i < heads_.size(); ++i) {
-      if (!heads_[i].valid) continue;
-      if (best < 0 ||
-          heads_[i].record.key < heads_[static_cast<size_t>(best)].record.key) {
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
   }
 
   std::vector<std::string> run_paths_;
@@ -731,6 +752,7 @@ class MergingGroupedStream : public GroupedRecordStream {
   std::vector<Head> heads_;
   std::vector<SpillBlockDecoder> decoders_;  // parallel to readers_
   std::vector<std::string> blocks_;  // per-run fetch buffers decoders view
+  std::vector<uint32_t> heap_;       // runs with a head, a min-heap by Less
   std::string current_key_;
   bool in_group_ = false;
 };

@@ -8,6 +8,7 @@
 #include "baselines/hive.h"
 #include "baselines/mrcube.h"
 #include "baselines/naive.h"
+#include "core/cube_output.h"
 #include "cube/cube_result.h"
 #include "relation/generators.h"
 
@@ -166,6 +167,87 @@ TEST(MrCubeTest, AnnotationsSerializationRoundTrip) {
   EXPECT_EQ(decoded->num_dims, 3);
   EXPECT_EQ(decoded->partition_factor, annotations.partition_factor);
   EXPECT_FALSE(MrCubeAnnotations::Deserialize("junk").ok());
+}
+
+/// A reduce group with no values.
+class EmptyValueStream : public ValueStream {
+ public:
+  Result<bool> Next(std::string* /*value*/) override { return false; }
+};
+
+class DiscardingReduceContext : public ReduceContext {
+ public:
+  Status Output(std::string_view, std::string_view) override {
+    return Status::OK();
+  }
+};
+
+TEST(MrCubeTest, AnnotateReducerRejectsKeysOtherThanTheSampleKey) {
+  MrCubeAnnotateReducer reducer(3, 100, SketchBuildConfig{}, "annotations");
+  ASSERT_TRUE(reducer.Setup(TaskContext{}).ok());
+  DiscardingReduceContext context;
+  EmptyValueStream sample;
+  EXPECT_TRUE(reducer.Reduce(kSampleKey, sample, context).ok());
+  EmptyValueStream stray;
+  const Status status = reducer.Reduce("not-the-sample", stray, context);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+}
+
+TEST(MrCubeTest, RoutesFriendlyCellsToOutputAndPartialsToPostAggregation) {
+  // Each attribute is 0 in 40% of the rows: the apex and the
+  // one-attribute cuboids hold groups too big for a machine and are value-
+  // partitioned; the finer cuboids stay friendly.
+  Relation rel = GenIndependentSkew(4000, 3, 0.4, 1000, 29);
+  DistributedFileSystem dfs;
+  Engine engine(TestConfig(4), &dfs);
+  MrCubeAlgorithm mrcube;
+  CubeRunOptions options;
+  options.dfs_output_root = "mrcube/out";
+  auto output = mrcube.Run(engine, rel, options);
+  ASSERT_TRUE(output.ok()) << output.status();
+  const int64_t num_cuboids = NumCuboids(rel.num_dims());
+  ASSERT_GT(mrcube.last_unfriendly_cuboids(), 0);
+  ASSERT_LT(mrcube.last_unfriendly_cuboids(), num_cuboids);
+  ASSERT_EQ(output->metrics.rounds.size(), 3u);
+
+  const CubeResult reference =
+      ComputeCubeReference(rel, AggregateKind::kCount);
+  ASSERT_NE(output->cube, nullptr);
+  std::string diff;
+  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *output->cube, 1e-9, &diff))
+      << diff;
+  // ReadCubeFromDfs rejects a cell written twice, so an exact match means
+  // every cell, friendly or post-aggregated, reached the DFS exactly once.
+  auto from_dfs = ReadCubeFromDfs(dfs, options.dfs_output_root,
+                                  rel.num_dims());
+  ASSERT_TRUE(from_dfs.ok()) << from_dfs.status();
+  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *from_dfs, 1e-9, &diff))
+      << diff;
+
+  // Round 3 reads exactly the round-2 cells of partitioned cuboids: all of
+  // round 2's output except one final cell per friendly group.
+  const std::vector<std::string> annotation_files =
+      dfs.List("mrcube/annotations/");
+  ASSERT_EQ(annotation_files.size(), 1u);
+  auto bytes = dfs.Read(annotation_files[0]);
+  ASSERT_TRUE(bytes.ok());
+  auto annotations = MrCubeAnnotations::Deserialize(*bytes);
+  ASSERT_TRUE(annotations.ok());
+  int64_t friendly_cells = 0;
+  int64_t partitioned_groups = 0;
+  for (CuboidMask mask = 0; mask < num_cuboids; ++mask) {
+    const int64_t groups = reference.CuboidGroupCount(mask);
+    if (annotations->partition_factor[mask] <= 1) {
+      friendly_cells += groups;
+    } else {
+      partitioned_groups += groups;
+    }
+  }
+  const JobMetrics& round2 = output->metrics.rounds[1];
+  const JobMetrics& round3 = output->metrics.rounds[2];
+  EXPECT_EQ(round3.map_input_records, round2.output_records - friendly_cells);
+  EXPECT_GE(round3.map_input_records, partitioned_groups);
+  EXPECT_EQ(round3.output_records, partitioned_groups);
 }
 
 TEST(HiveTest, MatchesReferenceOnUniform) {

@@ -474,6 +474,136 @@ TEST(ShuffleSortTest, RadixKeySortEqualsStableSortByKey) {
   }
 }
 
+/// Writes `records` as one sorted run (stable by key, so equal keys keep
+/// their order) through the §13 block codec.
+RunInfo WriteRun(std::vector<Record> records, TempFileManager* temp) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.key < b.key;
+                   });
+  RunInfo run;
+  run.path = temp->NextPath();
+  SpillWriter writer(run.path);
+  EXPECT_TRUE(writer.Open().ok());
+  SpillBlockEncoder encoder;
+  for (const Record& record : records) {
+    encoder.Add(record.key, record.value);
+    if (encoder.BlockFull()) {
+      EXPECT_TRUE(writer.Append(encoder.block()).ok());
+      encoder.NextBlock();
+    }
+    run.payload_bytes += RecordBytes(record.key, record.value);
+  }
+  if (!encoder.BlockEmpty()) {
+    EXPECT_TRUE(writer.Append(encoder.block()).ok());
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  run.file_bytes = writer.bytes_written();
+  run.records = static_cast<int64_t>(records.size());
+  return run;
+}
+
+TEST(GroupedStreamTest, ExternalMergeOfManyMultiBlockRunsKeepsKeyThenRunOrder) {
+  // Every key starts with the same 8 bytes, so the merge's prefix compare
+  // always ties and the full keys decide, including keys that differ only
+  // by a trailing '\0'. Each key recurs in many runs, and run 0 holds 80
+  // records of one key, so that group spans several of its run's
+  // 32-record blocks.
+  const std::string prefix("merge\0by", 8);
+  const std::vector<std::string> keys = {
+      prefix,          prefix + '\0', prefix + "a",  prefix + "a" + '\0',
+      prefix + "ab",   prefix + "b",  prefix + "ba", prefix + "\xff",
+      prefix + "hot"};
+  constexpr int kRuns = 41;
+  TempFileManager temp("many_runs");
+  Rng rng(29);
+  std::vector<RunInfo> runs;
+  std::vector<Record> expected;  // runs concatenated in run order
+  for (int r = 0; r < kRuns; ++r) {
+    std::vector<Record> records;
+    const size_t count = 40 + rng.NextBounded(40);  // 2-3 blocks per run
+    for (size_t i = 0; i < count; ++i) {
+      records.push_back(Record{keys[rng.NextBounded(keys.size())],
+                               std::to_string(r) + "/" + std::to_string(i)});
+    }
+    if (r == 0) {
+      for (int i = 0; i < 80; ++i) {
+        records.push_back(Record{prefix + "hot", "hot/" + std::to_string(i)});
+      }
+    }
+    runs.push_back(WriteRun(records, &temp));
+    std::stable_sort(records.begin(), records.end(),
+                     [](const Record& a, const Record& b) {
+                       return a.key < b.key;
+                     });
+    expected.insert(expected.end(), records.begin(), records.end());
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.key < b.key;
+                   });
+  auto open = [&runs, &temp]() {
+    ReduceInput input;
+    for (const RunInfo& run : runs) {
+      input.total_bytes += run.payload_bytes;
+      input.total_records += run.records;
+      input.spill_runs.push_back(run);
+    }
+    ShuffleCounters counters;
+    auto stream = MakeGroupedStream(std::move(input), /*budget=*/1,
+                                    MemoryPolicy::kSpill, &temp, &counters);
+    EXPECT_TRUE(stream.ok());
+    // Nothing in memory: no run of the stream's own was written.
+    EXPECT_EQ(counters.spill_bytes, 0);
+    return std::move(stream).value();
+  };
+
+  const std::vector<Record> drained = DrainInOrder(*open());
+  ASSERT_EQ(drained.size(), expected.size());
+  for (size_t i = 0; i < drained.size(); ++i) {
+    ASSERT_EQ(drained[i].key, expected[i].key) << "position " << i;
+    ASSERT_EQ(drained[i].value, expected[i].value) << "position " << i;
+  }
+
+  // Group g reads g % 3 values before moving on: NextGroup skips the rest,
+  // fetching new blocks for them where a group crosses one.
+  std::vector<Record> wanted;
+  for (size_t begin = 0, g = 0; begin < expected.size(); ++g) {
+    size_t end = begin;
+    while (end < expected.size() && expected[end].key == expected[begin].key) {
+      ++end;
+    }
+    for (size_t i = begin; i < std::min(end, begin + g % 3); ++i) {
+      wanted.push_back(expected[i]);
+    }
+    begin = end;
+  }
+  std::unique_ptr<GroupedRecordStream> stream = open();
+  std::vector<Record> read;
+  std::string key;
+  std::string value;
+  size_t groups = 0;
+  for (size_t g = 0;; ++g) {
+    auto more = stream->NextGroup(&key);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    ++groups;
+    for (size_t i = 0; i < g % 3; ++i) {
+      auto has_value = stream->NextValue(&value);
+      ASSERT_TRUE(has_value.ok());
+      if (!*has_value) break;
+      read.push_back(Record{key, value});
+    }
+  }
+  EXPECT_EQ(groups, keys.size());
+  ASSERT_EQ(read.size(), wanted.size());
+  for (size_t i = 0; i < read.size(); ++i) {
+    EXPECT_EQ(read[i].key, wanted[i].key) << "position " << i;
+    EXPECT_EQ(read[i].value, wanted[i].value) << "position " << i;
+  }
+  for (const RunInfo& run : runs) RemoveFileIfExists(run.path);
+}
+
 // ---- Split-recovery scatter -------------------------------------------------
 
 using KeyValue = std::pair<std::string, std::string>;

@@ -10,6 +10,7 @@
 // exists only so the benchmark races them on identical inputs.
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -37,12 +38,6 @@ class StringShuffleBuffer {
         counters_(counters),
         memory_(static_cast<size_t>(num_partitions)),
         spill_runs_(static_cast<size_t>(num_partitions)) {}
-
-  ~StringShuffleBuffer() {
-    for (const std::vector<RunInfo>& runs : spill_runs_) {
-      for (const RunInfo& run : runs) RemoveFileIfExists(run.path);
-    }
-  }
 
   Status Add(int partition, std::string_view key, std::string_view value) {
     counters_->map_output_records += 1;
@@ -108,9 +103,12 @@ class StringShuffleBuffer {
                        [](const Record& a, const Record& b) {
                          return a.key < b.key;
                        });
-      SpillWriter writer(temp_files_->NextPath());
-      SPCUBE_RETURN_IF_ERROR(writer.Open());
+      // One file per run, as the seed spilled; the runs' SpillFile
+      // references delete the files with the buffer.
       RunInfo info;
+      info.file = std::make_shared<const SpillFile>(temp_files_->NextPath());
+      SpillWriter writer(info.path());
+      SPCUBE_RETURN_IF_ERROR(writer.Open());
       for (const Record& record : partition) {
         ByteWriter encoder;
         encoder.PutBytes(record.key);
@@ -120,7 +118,6 @@ class StringShuffleBuffer {
       }
       SPCUBE_RETURN_IF_ERROR(writer.Close());
       counters_->spill_bytes += writer.bytes_written();
-      info.path = writer.path();
       info.file_bytes = writer.bytes_written();
       info.records = writer.record_count();
       spill_runs_[static_cast<size_t>(p)].push_back(std::move(info));

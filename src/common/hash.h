@@ -37,31 +37,60 @@ inline uint64_t HashBytes(std::string_view bytes) {
 
 namespace internal {
 
-/// Byte-at-a-time table for the Castagnoli CRC (reflected polynomial
+/// Slicing-by-8 tables for the Castagnoli CRC (reflected polynomial
 /// 0x82F63B78), built at compile time so the header stays dependency-free.
-constexpr std::array<uint32_t, 256> MakeCrc32cTable() {
-  std::array<uint32_t, 256> table{};
+/// Table 0 is the classic byte-at-a-time table; table k advances a byte's
+/// contribution past k further zero bytes, so eight lookups fold eight
+/// input bytes into the CRC at once.
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int j = 0; j < 8; ++j) {
       crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-inline constexpr std::array<uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+inline constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
+
+/// Little-endian u32 of the four bytes at `p`, any alignment.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace internal
 
-/// CRC32C (Castagnoli) of a byte string. Guards spill records, shuffle runs
-/// and DFS blobs against corruption in flight or at rest; software
-/// table-driven so no platform intrinsics are required.
+/// CRC32C (Castagnoli) of a byte string. Guards spill frames, DFS blobs
+/// and the serialized sketch against corruption in flight or at rest.
+/// Software slicing-by-8 (eight table lookups per eight input bytes, ~5x
+/// the byte-at-a-time loop), so no platform intrinsics are required; the
+/// value is the standard CRC32C, identical to the byte-at-a-time result.
 inline uint32_t Crc32c(std::string_view bytes) {
+  const auto& t = internal::kCrc32cTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (unsigned char c : bytes) {
-    crc = (crc >> 8) ^ internal::kCrc32cTable[(crc ^ c) & 0xFFu];
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ internal::LoadLe32(p);
+    const uint32_t hi = internal::LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

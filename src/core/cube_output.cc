@@ -51,6 +51,11 @@ Status CubeCollector::Collect(int reducer_id, std::string_view key,
   return cube_->AddGroup(std::move(group), cell);
 }
 
+void CubeCollector::Reserve(int64_t records) {
+  MutexLock lock(&mu_);
+  if (cube_ != nullptr) cube_->Reserve(records);
+}
+
 std::unique_ptr<CubeResult> CubeCollector::TakeCube() {
   MutexLock lock(&mu_);
   return std::move(cube_);

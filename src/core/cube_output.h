@@ -40,6 +40,10 @@ class CubeCollector : public OutputCollector {
   Status Collect(int reducer_id, std::string_view key,
                  std::string_view value) override SPCUBE_EXCLUDES(mu_);
 
+  /// Sizes the in-memory cube for `records` more cells when
+  /// options.collect_output (rounds deliver at most one cell per record).
+  void Reserve(int64_t records) override SPCUBE_EXCLUDES(mu_);
+
   /// Whether Collect records cells at all; false means it discards them.
   bool wants_cells() const { return wants_cells_; }
 

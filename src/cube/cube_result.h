@@ -24,6 +24,12 @@ class CubeResult {
   /// (each algorithm must produce every group exactly once).
   Status AddGroup(GroupKey key, double value);
 
+  /// Sizes the table for `more` groups beyond those it holds, so that
+  /// many inserts rehash once instead of repeatedly.
+  void Reserve(int64_t more) {
+    groups_.reserve(groups_.size() + static_cast<size_t>(more));
+  }
+
   /// Inserts or overwrites without the uniqueness check.
   void UpsertGroup(GroupKey key, double value);
 

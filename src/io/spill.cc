@@ -45,6 +45,8 @@ std::string TempFileManager::NextPath() {
   return dir_ + "/spill_" + std::to_string(id) + ".bin";
 }
 
+SpillFile::~SpillFile() { RemoveFileIfExists(path_); }
+
 SpillWriter::SpillWriter(std::string path) : path_(std::move(path)) {}
 
 SpillWriter::~SpillWriter() {
@@ -95,7 +97,14 @@ Status SpillWriter::Close() {
   return Status::OK();
 }
 
-SpillReader::SpillReader(std::string path) : path_(std::move(path)) {}
+SpillReader::SpillReader(std::string path)
+    : path_(std::move(path)), location_(path_) {}
+
+SpillReader::SpillReader(std::string path, int64_t offset, int64_t length)
+    : path_(std::move(path)),
+      location_(path_ + "@" + std::to_string(offset)),
+      offset_(offset),
+      remaining_(length) {}
 
 SpillReader::~SpillReader() {
   if (file_ != nullptr) std::fclose(file_);
@@ -106,6 +115,10 @@ Status SpillReader::Open() {
   if (file_ == nullptr) {
     return Status::IoError("cannot open spill file for read: " + path_);
   }
+  if (offset_ > 0 &&
+      ::fseeko(file_, static_cast<off_t>(offset_), SEEK_SET) != 0) {
+    return Status::IoError("cannot seek to the run at " + location_);
+  }
   return Status::OK();
 }
 
@@ -114,48 +127,68 @@ void SpillReader::SetFaultInjection(IoFaultInjector* injector,
                                     std::string resource) {
   injector_ = injector;
   mismatch_counter_ = mismatch_counter;
-  resource_ = resource.empty() ? path_ : std::move(resource);
+  resource_ = resource.empty() ? location_ : std::move(resource);
 }
 
 Result<bool> SpillReader::Next(std::string* record) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("spill reader not open");
   }
+  if (remaining_ == 0) return false;  // end of the run's range
   // Frame length is a LEB128 varint, read byte-wise: EOF before the first
-  // byte is a clean end of run; EOF mid-varint is a truncated record.
+  // byte is a clean end of a whole-file run, and a truncated ranged one;
+  // EOF mid-varint is a truncated record.
   int c = std::fgetc(file_);
   if (c == EOF) {
-    if (std::feof(file_)) return false;
-    return Status::IoError("read failed for " + path_);
+    if (!std::feof(file_)) {
+      return Status::IoError("read failed for " + location_);
+    }
+    if (remaining_ < 0) return false;
+    return Status::Corruption("spill file ends inside the run at " +
+                              location_);
   }
   uint64_t len = 0;
   int shift = 0;
+  uint64_t header_bytes = 1;
   for (int i = 0;; ++i) {
     const auto byte = static_cast<uint8_t>(c);
     len |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     if (i >= 9) {
       return Status::Corruption("spill record length varint too long in " +
-                                path_);
+                                location_);
     }
     shift += 7;
     c = std::fgetc(file_);
     if (c == EOF) {
-      return Status::Corruption("truncated spill record header in " + path_);
+      return Status::Corruption("truncated spill record header in " +
+                                location_);
     }
+    ++header_bytes;
+  }
+  const uint64_t frame_bytes = header_bytes + sizeof(uint32_t) + len;
+  if (remaining_ >= 0) {
+    const auto remaining = static_cast<uint64_t>(remaining_);
+    if (len > remaining || frame_bytes > remaining) {
+      return Status::Corruption("spill frame crosses the end of the run at " +
+                                location_);
+    }
+    remaining_ -= static_cast<int64_t>(frame_bytes);
   }
   uint32_t crc = 0;
   if (std::fread(&crc, sizeof(crc), 1, file_) != 1) {
-    return Status::Corruption("truncated spill record header in " + path_);
+    return Status::Corruption("truncated spill record header in " +
+                              location_);
   }
   record->resize(len);
   if (len > 0 && std::fread(record->data(), 1, len, file_) != len) {
-    return Status::Corruption("truncated spill record in " + path_);
+    return Status::Corruption("truncated spill record in " + location_);
   }
   const uint64_t item = next_record_index_++;
   if (injector_ == nullptr) {
     if (Crc32c(*record) != crc) {
-      return Status::Corruption("spill record failed checksum in " + path_);
+      return Status::Corruption("spill record failed checksum in " +
+                                location_);
     }
     return true;
   }
@@ -173,7 +206,7 @@ Result<bool> SpillReader::Next(std::string* record) {
   }
   return Status::Corruption("spill record failed checksum after " +
                             std::to_string(kMaxFetchAttempts) +
-                            " fetch attempts in " + path_);
+                            " fetch attempts in " + location_);
 }
 
 Status SpillReader::Close() {

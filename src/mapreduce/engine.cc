@@ -613,7 +613,7 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
   const std::string resource_prefix =
       "recover/j" + std::to_string(round.job_id) + "/red" +
       std::to_string(p) + "/d" + std::to_string(depth);
-  // Cheap retry-safe copy: segments are shared refs, runs are path infos.
+  // Cheap retry-safe copy: segments and runs are shared refs.
   auto stream = MakeGroupedStream(
       input, budget, MemoryPolicy::kStrict, round.temp_files,
       &state->shuffle_counters, round.plan, resource_prefix);
@@ -664,11 +664,9 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
                                  state, partials);
     if (!sub_status.ok()) break;
   }
-  // The sub-partition run files are recovery-private; reclaim the disk
-  // now whether or not the sub-attempts succeeded.
-  for (const ReduceInput& sub : subs) {
-    for (const RunInfo& run : sub.spill_runs) RemoveFileIfExists(run.path);
-  }
+  // The sub-inputs' shared spill file is recovery-private: releasing
+  // `subs` deletes it, whether or not the sub-attempts succeeded.
+  subs.clear();
   SPCUBE_RETURN_IF_ERROR(sub_status);
   if (depth > 0) return Status::OK();
 
@@ -694,10 +692,6 @@ Status ReducePartition(RoundState& round, int p) {
   ReduceTaskState& state = round.reduce_tasks[static_cast<size_t>(p)];
   const BusyStart start;
 
-  // Keep run paths for cleanup: MakeGroupedStream consumes the input.
-  std::vector<std::string> run_paths;
-  for (const RunInfo& run : input.spill_runs) run_paths.push_back(run.path);
-
   Status last_error = Status::OK();
   bool succeeded = false;
   for (int attempt = 0; attempt < round.max_attempts && !succeeded;
@@ -716,8 +710,8 @@ Status ReducePartition(RoundState& round, int p) {
                budget_factor));
 
     // With retries or split recovery enabled, a failed attempt needs the
-    // input again, so the in-memory part is copied (segments are cheap
-    // shared refs); spill-run files survive attempts either way.
+    // input again, so it is copied (segments and runs are cheap shared
+    // refs); `input` keeps the spill files alive across attempts.
     ReduceInput attempt_input;
     if (attempt + 1 < round.max_attempts || round.recovery_enabled) {
       attempt_input = input;
@@ -771,12 +765,14 @@ Status ReducePartition(RoundState& round, int p) {
     }
   }
   state.busy_seconds = round.BusySince(start);
+  // The partition is done either way: drop its input, so each spill file
+  // is deleted as soon as no partition's run references it.
+  input = ReduceInput{};
   if (!succeeded) {
     return Status(last_error.code(), "reduce task " + std::to_string(p) +
                                          " of job '" + spec.name +
                                          "': " + last_error.message());
   }
-  for (const std::string& path : run_paths) RemoveFileIfExists(path);
   return Status::OK();
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -190,39 +191,58 @@ void SortRefs(const std::vector<ShuffleRecordRef>& refs,
       scratch);
 }
 
-/// Streams refs in `order` as one spill run, delta-encoding records into
-/// §13 blocks through the caller's reusable encoder.
-Result<RunInfo> WriteSortedRun(const std::vector<ShuffleRecordRef>& refs,
-                               const std::vector<ShuffleSortItem>& order,
-                               TempFileManager* temp_files,
-                               ShuffleCounters* counters,
-                               SpillBlockEncoder* encoder) {
-  SpillWriter writer(temp_files->NextPath());
-  SPCUBE_RETURN_IF_ERROR(writer.Open());
-  RunInfo info;
-  encoder->Reset();
-  for (const ShuffleSortItem& item : order) {
-    const ShuffleRecordRef& ref = refs[item.index];
-    encoder->Add(ref.key(), ref.value());
-    if (encoder->BlockFull()) {
-      SPCUBE_RETURN_IF_ERROR(writer.Append(encoder->block()));
+/// Writes sorted runs back to back into one spill file, created under
+/// `temp_files` with the first run: each run is a byte range of the file
+/// and shares its ownership. Close before any run is read.
+class RunFileWriter {
+ public:
+  explicit RunFileWriter(TempFileManager* temp_files)
+      : temp_files_(temp_files) {}
+
+  /// Streams refs in `order` as the file's next run, delta-encoding records
+  /// into §13 blocks through the caller's reusable encoder.
+  Result<RunInfo> WriteRun(const std::vector<ShuffleRecordRef>& refs,
+                           const std::vector<ShuffleSortItem>& order,
+                           ShuffleCounters* counters,
+                           SpillBlockEncoder* encoder) {
+    if (file_ == nullptr) {
+      file_ = std::make_shared<const SpillFile>(temp_files_->NextPath());
+      writer_.emplace(file_->path());
+      SPCUBE_RETURN_IF_ERROR(writer_->Open());
+    }
+    RunInfo info;
+    info.offset = writer_->bytes_written();
+    encoder->Reset();
+    for (const ShuffleSortItem& item : order) {
+      const ShuffleRecordRef& ref = refs[item.index];
+      encoder->Add(ref.key(), ref.value());
+      if (encoder->BlockFull()) {
+        SPCUBE_RETURN_IF_ERROR(writer_->Append(encoder->block()));
+        encoder->NextBlock();
+      }
+      info.payload_bytes += RecordBytes(ref.key(), ref.value());
+    }
+    if (!encoder->BlockEmpty()) {
+      SPCUBE_RETURN_IF_ERROR(writer_->Append(encoder->block()));
       encoder->NextBlock();
     }
-    info.payload_bytes += RecordBytes(ref.key(), ref.value());
+    info.file = file_;
+    info.file_bytes = writer_->bytes_written() - info.offset;
+    info.records = static_cast<int64_t>(order.size());
+    if (counters != nullptr) counters->spill_bytes += info.file_bytes;
+    return info;
   }
-  if (!encoder->BlockEmpty()) {
-    SPCUBE_RETURN_IF_ERROR(writer.Append(encoder->block()));
-    encoder->NextBlock();
+
+  /// Flushes the file; a no-op when no run was written.
+  Status Close() {
+    return writer_.has_value() ? writer_->Close() : Status::OK();
   }
-  SPCUBE_RETURN_IF_ERROR(writer.Close());
-  if (counters != nullptr) {
-    counters->spill_bytes += writer.bytes_written();
-  }
-  info.path = writer.path();
-  info.file_bytes = writer.bytes_written();
-  info.records = static_cast<int64_t>(order.size());
-  return info;
-}
+
+ private:
+  TempFileManager* temp_files_;
+  std::shared_ptr<const SpillFile> file_;
+  std::optional<SpillWriter> writer_;
+};
 
 void AppendSegmentEntries(const std::vector<ShuffleSegment>& segments,
                           std::vector<ShuffleRecordRef>* entries) {
@@ -238,7 +258,7 @@ void AppendSegmentEntries(const std::vector<ShuffleSegment>& segments,
 Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
                  int64_t* mismatch_counter, Arena* arena,
                  std::vector<ShuffleRecordRef>* entries) {
-  SpillReader reader(run.path);
+  SpillReader reader(run.path(), run.offset, run.file_bytes);
   SPCUBE_RETURN_IF_ERROR(reader.Open());
   reader.SetFaultInjection(injector, mismatch_counter, run.resource);
   SpillBlockDecoder decoder;
@@ -284,15 +304,6 @@ ShuffleBuffer::ShuffleBuffer(int num_partitions,
       counters_(counters),
       partitions_(static_cast<size_t>(num_partitions)),
       spill_runs_(static_cast<size_t>(num_partitions)) {}
-
-ShuffleBuffer::~ShuffleBuffer() {
-  // Any run still here belongs to an attempt whose output was never
-  // published (failed or superseded); reclaim the disk now rather than at
-  // TempFileManager teardown.
-  for (const std::vector<RunInfo>& runs : spill_runs_) {
-    for (const RunInfo& run : runs) RemoveFileIfExists(run.path);
-  }
-}
 
 Status ShuffleBuffer::Add(int partition, std::string_view key,
                           std::string_view value) {
@@ -524,15 +535,18 @@ Status ShuffleBuffer::CombineInMemory() {
 }
 
 Status ShuffleBuffer::SpillAll() {
+  // One file per spill: each non-empty partition's run is a byte range of
+  // it (docs/INTERNALS.md §9).
+  RunFileWriter out(temp_files_);
   for (int p = 0; p < num_partitions_; ++p) {
     PartitionState& part = partitions_[static_cast<size_t>(p)];
     scratch_refs_.clear();
     AppendRecordRefs(part, &scratch_refs_);
     if (scratch_refs_.empty()) continue;
     SortRefs(scratch_refs_, &sort_items_, &sort_scratch_);
-    SPCUBE_ASSIGN_OR_RETURN(
-        RunInfo run, WriteSortedRun(scratch_refs_, sort_items_, temp_files_,
-                                    counters_, &block_scratch_));
+    SPCUBE_ASSIGN_OR_RETURN(RunInfo run,
+                            out.WriteRun(scratch_refs_, sort_items_,
+                                         counters_, &block_scratch_));
     if (!resource_prefix_.empty()) {
       run.resource =
           resource_prefix_ + "/p" + std::to_string(p) + "/r" +
@@ -541,6 +555,7 @@ Status ShuffleBuffer::SpillAll() {
     spill_runs_[static_cast<size_t>(p)].push_back(std::move(run));
     ResetPartition(&part);
   }
+  SPCUBE_RETURN_IF_ERROR(out.Close());
   buffered_bytes_ = 0;
   return Status::OK();
 }
@@ -606,41 +621,32 @@ class InMemoryGroupedStream : public GroupedRecordStream {
   size_t value_pos_ = 0;
 };
 
-/// K-way merge over sorted run files; streams groups without materializing
+/// K-way merge over sorted runs; streams groups without materializing
 /// them. A binary min-heap of run indices yields heads in (key, run index)
 /// order — equal keys leave their runs lowest index first, the order of a
 /// stable sort of the runs' concatenation. The heap compares a head's
 /// first 8 key bytes (KeyChunk) before its full key, so keys that differ
 /// early never reach a string compare. Heads are views into their run's
-/// decoder and fetch buffer, valid until that run's next Advance. Paths in
-/// `owned_paths` (the attempt-private run MakeGroupedStream sorts out of the
-/// in-memory records) are deleted on destruction, whether or not the attempt
+/// decoder and fetch buffer, valid until that run's next Advance. The
+/// stream holds its runs, so a spill file only they reference (such as the
+/// attempt-private run MakeGroupedStream sorts out of the in-memory
+/// records) is deleted with the stream, whether or not the attempt
 /// succeeded.
 class MergingGroupedStream : public GroupedRecordStream {
  public:
-  /// `run_resources` parallels `run_paths` (empty string = use the path).
-  MergingGroupedStream(std::vector<std::string> run_paths,
-                       std::vector<std::string> run_resources,
-                       std::vector<std::string> owned_paths,
-                       IoFaultInjector* injector, int64_t* mismatch_counter)
-      : run_paths_(std::move(run_paths)),
-        run_resources_(std::move(run_resources)),
-        owned_paths_(std::move(owned_paths)),
+  MergingGroupedStream(std::vector<RunInfo> runs, IoFaultInjector* injector,
+                       int64_t* mismatch_counter)
+      : runs_(std::move(runs)),
         injector_(injector),
         mismatch_counter_(mismatch_counter) {}
 
-  ~MergingGroupedStream() override {
-    readers_.clear();  // close files before unlinking
-    for (const std::string& path : owned_paths_) RemoveFileIfExists(path);
-  }
-
   Status Init() {
-    readers_.reserve(run_paths_.size());
-    for (size_t i = 0; i < run_paths_.size(); ++i) {
-      auto reader = std::make_unique<SpillReader>(run_paths_[i]);
+    readers_.reserve(runs_.size());
+    for (const RunInfo& run : runs_) {
+      auto reader = std::make_unique<SpillReader>(run.path(), run.offset,
+                                                  run.file_bytes);
       SPCUBE_RETURN_IF_ERROR(reader->Open());
-      reader->SetFaultInjection(injector_, mismatch_counter_,
-                                run_resources_[i]);
+      reader->SetFaultInjection(injector_, mismatch_counter_, run.resource);
       readers_.push_back(std::move(reader));
     }
     heads_.resize(readers_.size());
@@ -743,9 +749,7 @@ class MergingGroupedStream : public GroupedRecordStream {
     }
   }
 
-  std::vector<std::string> run_paths_;
-  std::vector<std::string> run_resources_;
-  std::vector<std::string> owned_paths_;
+  std::vector<RunInfo> runs_;  // outlives readers_: members die in reverse
   IoFaultInjector* injector_;
   int64_t* mismatch_counter_;
   std::vector<std::unique_ptr<SpillReader>> readers_;
@@ -824,15 +828,7 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
   }
 
   // External path: sort the in-memory part into one more run, then merge.
-  std::vector<std::string> run_paths;
-  std::vector<std::string> run_resources;
-  std::vector<std::string> owned_paths;
-  run_paths.reserve(input.spill_runs.size() + 1);
-  run_resources.reserve(input.spill_runs.size() + 1);
-  for (const RunInfo& run : input.spill_runs) {
-    run_paths.push_back(run.path);
-    run_resources.push_back(run.resource);
-  }
+  std::vector<RunInfo> runs = std::move(input.spill_runs);
   std::vector<ShuffleRecordRef> memory_refs;
   AppendSegmentEntries(input.memory_segments, &memory_refs);
   if (!memory_refs.empty()) {
@@ -840,17 +836,15 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     std::vector<ShuffleSortItem> scratch;
     SortRefs(memory_refs, &order, &scratch);
     SpillBlockEncoder encode;
-    SPCUBE_ASSIGN_OR_RETURN(RunInfo run,
-                            WriteSortedRun(memory_refs, order, temp_files,
-                                           counters, &encode));
-    run_paths.push_back(run.path);
-    run_resources.push_back(
-        resource_prefix.empty() ? "" : resource_prefix + "/mem");
-    owned_paths.push_back(std::move(run.path));
+    RunFileWriter out(temp_files);
+    SPCUBE_ASSIGN_OR_RETURN(
+        RunInfo run, out.WriteRun(memory_refs, order, counters, &encode));
+    SPCUBE_RETURN_IF_ERROR(out.Close());
+    if (!resource_prefix.empty()) run.resource = resource_prefix + "/mem";
+    runs.push_back(std::move(run));
   }
   auto merging = std::make_unique<MergingGroupedStream>(
-      std::move(run_paths), std::move(run_resources), std::move(owned_paths),
-      injector, mismatch_counter);
+      std::move(runs), injector, mismatch_counter);
   SPCUBE_RETURN_IF_ERROR(merging->Init());
   return {std::unique_ptr<GroupedRecordStream>(std::move(merging))};
 }
@@ -942,18 +936,19 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
       sub_orders[sub].push_back(order[pos]);
     }
   }
-  // One sorted run file per sub-input: the result must not reference
-  // `input`'s arenas (the OOMed attempt's storage is reclaimed before the
-  // sub-attempts run), and runs keep the "each sorted by key" invariant.
+  // One sorted run per sub-input, all in one file: the result must not
+  // reference `input`'s arenas (the OOMed attempt's storage is reclaimed
+  // before the sub-attempts run), and runs keep the "each sorted by key"
+  // invariant.
   std::vector<ReduceInput> subs(static_cast<size_t>(fanout));
   SpillBlockEncoder encode;
+  RunFileWriter out(temp_files);
   for (int k = 0; k < fanout; ++k) {
     const std::vector<ShuffleSortItem>& sub_order =
         sub_orders[static_cast<size_t>(k)];
     if (sub_order.empty()) continue;
     SPCUBE_ASSIGN_OR_RETURN(
-        RunInfo run,
-        WriteSortedRun(entries, sub_order, temp_files, counters, &encode));
+        RunInfo run, out.WriteRun(entries, sub_order, counters, &encode));
     if (!resource_prefix.empty()) {
       run.resource = resource_prefix + "/s" + std::to_string(k);
     }
@@ -962,6 +957,7 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
     sub.total_records = run.records;
     sub.spill_runs.push_back(std::move(run));
   }
+  SPCUBE_RETURN_IF_ERROR(out.Close());
   return subs;
 }
 

@@ -28,18 +28,25 @@ namespace internal {
 void DebugExpireSegment(ShuffleSegment* segment);
 }  // namespace internal
 
-/// A sorted run file spilled to local disk, with its on-disk size and the
-/// payload (key+value) bytes it carries.
+/// A sorted run spilled to local disk: the byte range [offset, offset +
+/// file_bytes) of a spill file it shares with the other runs written in
+/// the same spill (docs/INTERNALS.md §9), plus the payload (key+value)
+/// bytes it carries. Copies share the file, which is deleted once the last
+/// RunInfo referencing it is destroyed; read a run through its range:
+/// `SpillReader(run.path(), run.offset, run.file_bytes)`.
 struct RunInfo {
-  std::string path;
+  std::shared_ptr<const SpillFile> file;
+  int64_t offset = 0;
   /// Stable logical identity (job/task/attempt/partition/run) used for
-  /// fault-injection decisions instead of `path`, which embeds the pid and a
-  /// process-global counter and so is not reproducible. Empty means "use
-  /// the path" (buffers created outside an engine job).
+  /// fault-injection decisions instead of the path, which embeds the pid
+  /// and a process-global counter and so is not reproducible. Empty means
+  /// "use the path and offset" (buffers created outside an engine job).
   std::string resource;
   int64_t file_bytes = 0;
   int64_t payload_bytes = 0;
   int64_t records = 0;
+
+  const std::string& path() const { return file->path(); }
 };
 
 /// Counters updated by the shuffle path of a single map task; the engine
@@ -252,23 +259,23 @@ class ShuffleSegment {
 ///    incrementally, not per overflow); each key's values form a linked
 ///    list in emission order.
 ///  * Spills radix-sort slot indices by (full key, emission order) — the
-///    order of a stable sort by key — and stream the run straight from
-///    arena bytes through the CRC32C spill writer.
+///    order of a stable sort by key — and stream the runs straight from
+///    arena bytes through the CRC32C spill writer. Each spill writes one
+///    file: every non-empty partition's run is a byte range of it, as in
+///    Hadoop's MapTask (one spill file plus an index of partition ranges).
 ///
 /// See docs/INTERNALS.md §9 for what `buffered_bytes_` counts under the
 /// arena. Spill runs are written in the §13 delta/varint format; spill
 /// *decisions* (when to overflow, what to combine) depend only on payload
-/// bytes, never on the encoding.
+/// bytes, never on the encoding. Runs never taken (a failed or superseded
+/// map attempt's private output) are released with the buffer, and so is
+/// every spill file no taken run references.
 class ShuffleBuffer {
  public:
   /// `combiner` may be null. `temp_files` outlives the buffer.
   ShuffleBuffer(int num_partitions, int64_t memory_budget_bytes,
                 const Combiner* combiner, TempFileManager* temp_files,
                 ShuffleCounters* counters);
-
-  /// Deletes the files of any spill runs that were never taken — the
-  /// eager cleanup of a failed (and retried) map attempt's private output.
-  ~ShuffleBuffer();
 
   /// Names this buffer's spill runs for fault injection:
   /// `<prefix>/p<partition>/r<index>`. Call before the first Add; the engine
@@ -290,7 +297,8 @@ class ShuffleBuffer {
   /// arena that owns their bytes; each call empties the partition.
   ShuffleSegment TakeMemorySegment(int partition);
 
-  /// Sorted run files spilled for a partition.
+  /// Sorted runs spilled for a partition, one per spill that had records
+  /// for it; each call empties the partition's list.
   std::vector<RunInfo> TakeSpillRuns(int partition);
 
  private:
@@ -377,7 +385,7 @@ class ShuffleBuffer {
 /// Iterates the reduce input of one partition as (group, values) in
 /// ascending key order, streaming values so that a skewed group never has
 /// to be materialized. Feed it unsorted in-memory records plus the sorted
-/// run files spilled by mappers; it sorts what fits and external-merges the
+/// runs spilled by mappers; it sorts what fits and external-merges the
 /// rest.
 class GroupedRecordStream {
  public:
@@ -435,9 +443,9 @@ struct ReduceInput {
 /// into per-record strings); otherwise (policy kSpill) sorts the in-memory
 /// part into one additional run file under `temp_files` and k-way merges
 /// all runs, adding the extra run's bytes to `counters->spill_bytes`.
-/// Policy kStrict fails with ResourceExhausted when over budget. Run files
-/// written here are attempt-private and deleted when the stream is
-/// destroyed; the caller owns `input.spill_runs`' files. `injector` (may be
+/// Policy kStrict fails with ResourceExhausted when over budget. The
+/// stream holds its runs (the extra one is attempt-private), so a spill
+/// file no other RunInfo references is deleted with it. `injector` (may be
 /// null) models in-flight corruption of run fetches, detected via record
 /// checksums and counted in `counters->checksum_mismatches`.
 /// `resource_prefix` names the extra reduce-side run for injection purposes
@@ -456,11 +464,11 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
 /// holds more than total/fanout + (budget/fanout)(1 - 1/fanout) bytes,
 /// plus one record per spread group when its records have equal sizes
 /// (docs/INTERNALS.md §11). Each sub-input is written as a single sorted
-/// run file under `temp_files` (so the result holds no references into
-/// `input`'s arenas — split sub-inputs outlive the attempt that OOMed),
-/// accounted to `counters->spill_bytes`, and named
-/// `<resource_prefix>/s<k>` for fault injection. The caller owns the run
-/// files and must delete them after the sub-attempts finish. Spill
+/// run, all `fanout` of them byte ranges of one file under `temp_files` (so
+/// the result holds no references into `input`'s arenas — split sub-inputs
+/// outlive the attempt that OOMed), accounted to `counters->spill_bytes`,
+/// and named `<resource_prefix>/s<k>` for fault injection. The file is
+/// deleted when the last sub-input's run is released. Spill
 /// runs in `input` are re-read through `injector` (may be null) with
 /// checksum recovery, like any reduce-side fetch. Deterministic: the same
 /// input records in the same source order give the same scatter,

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/bytes.h"
@@ -368,6 +370,40 @@ TEST(HashTest, HashSpanOrderSensitive) {
 
 TEST(HashTest, EmptySpanIsStable) {
   EXPECT_EQ(HashSpan(nullptr, 0), HashSpan(nullptr, 0));
+}
+
+/// The byte-at-a-time CRC32C the sliced Crc32c must agree with: the
+/// reflected Castagnoli polynomial applied one bit at a time.
+uint32_t BitwiseCrc32c(std::string_view bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char c : bytes) {
+    crc ^= c;
+    for (int j = 0; j < 8; ++j) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(HashTest, Crc32cKnownAnswer) {
+  // The CRC-32C check value (RFC 3720, Appendix B.4).
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32c(""), 0u);
+}
+
+TEST(HashTest, Crc32cSlicedEqualsBytewiseReference) {
+  // Every length from 0 to 300 (all tail lengths around the 8-byte
+  // stride) at every start offset mod 8, over seeded random bytes.
+  Rng rng(3720);
+  std::string buffer(300 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.NextBounded(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view bytes(buffer.data() + start, len);
+      ASSERT_EQ(Crc32c(bytes), BitwiseCrc32c(bytes))
+          << "start " << start << " length " << len;
+    }
+  }
 }
 
 TEST(LoggingTest, LevelRoundTrip) {

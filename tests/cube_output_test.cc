@@ -84,6 +84,42 @@ TEST(CubeCollectorTest, DiscardsWithoutDecodingWhenNothingRequested) {
   EXPECT_EQ(dfs.file_count(), 0);
 }
 
+TEST(CubeCollectorTest, ReserveKeepsTheCubeIdentical) {
+  const Relation rel = GenBinomial(800, 3, 0.4, 57);
+  const CubeResult reference = ComputeCubeReference(rel, AggregateKind::kSum);
+  CubeRunOptions options;
+  options.collect_output = true;
+  DistributedFileSystem dfs;
+  CubeCollector plain(options, &dfs, rel.num_dims());
+  CubeCollector reserved(options, &dfs, rel.num_dims());
+  // Two rounds' worth of Reserve calls, as a multi-round algorithm makes:
+  // an exact count for the first half, an overshoot for the second.
+  const int64_t half = reference.num_groups() / 2;
+  reserved.Reserve(half);
+  int64_t delivered = 0;
+  ByteWriter key;
+  ByteWriter value;
+  for (const auto& [group, cell] : reference.groups()) {
+    if (delivered++ == half) reserved.Reserve(reference.num_groups());
+    key.Clear();
+    group.EncodeTo(key);
+    value.Clear();
+    value.PutDouble(cell);
+    ASSERT_TRUE(plain.Collect(0, key.data(), value.data()).ok());
+    ASSERT_TRUE(reserved.Collect(0, key.data(), value.data()).ok());
+  }
+  const std::unique_ptr<CubeResult> expected = plain.TakeCube();
+  const std::unique_ptr<CubeResult> actual = reserved.TakeCube();
+  ASSERT_NE(actual, nullptr);
+  std::string diff;
+  EXPECT_TRUE(CubeResult::ApproxEqual(*expected, *actual, 0.0, &diff)) << diff;
+  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *actual, 0.0, &diff)) << diff;
+  // A collector that keeps no cube ignores Reserve.
+  CubeCollector discard(DfsOnly(""), &dfs, rel.num_dims());
+  discard.Reserve(reference.num_groups());
+  EXPECT_EQ(discard.TakeCube(), nullptr);
+}
+
 TEST(DfsCubeWriterTest, ReadRejectsCorruptPart) {
   DistributedFileSystem dfs;
   ASSERT_TRUE(dfs.Write("out/cuboid_0/part-0", "garbage!").ok());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -129,6 +130,32 @@ TEST(RecoveryTest, SplitRecoversStrictOomExactly) {
   EXPECT_GT(metrics->recovery_seconds, 0.0);
   // Recovery time is part of the fault-recovery total.
   EXPECT_LE(metrics->recovery_seconds, metrics->fault_recovery_seconds);
+}
+
+TEST(RecoveryTest, SplitRecoveryLeavesNoTempFiles) {
+  // Map tasks spill (the budget is tiny), reducers OOM and split two ways;
+  // every spill file, split sub-input runs included, is gone once Run
+  // returns.
+  Relation rel = GenUniform(3000, 1, 50, 75);
+  EngineConfig config = TestConfig();
+  config.memory_budget_bytes = 256;
+  DistributedFileSystem dfs;
+  Engine engine(config, &dfs);
+  JobSpec spec = RecoverableCountSpec();
+  spec.recovery.split_fanout = 2;
+
+  VectorOutputCollector collector;
+  auto metrics = engine.Run(spec, rel, &collector);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(CollectorCounts(collector), DirectCounts(rel));
+  EXPECT_GT(metrics->spill_bytes, 0);
+  EXPECT_GT(metrics->reduce_partitions_split, 0);
+  int64_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(engine.temp_dir())) {
+    if (entry.is_regular_file()) ++files;
+  }
+  EXPECT_EQ(files, 0);
 }
 
 TEST(RecoveryTest, RecoveryMetricsAreDeterministicAcrossReruns) {

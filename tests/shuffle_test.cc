@@ -115,7 +115,7 @@ TEST(ShuffleBufferTest, OverflowSpillsSortedRuns) {
       spilled_records += run.records;
       // Each run is sorted by key (delta-encoded records in CRC-framed
       // blocks, §13).
-      SpillReader reader(run.path);
+      SpillReader reader(run.path(), run.offset, run.file_bytes);
       ASSERT_TRUE(reader.Open().ok());
       SpillBlockDecoder decoder;
       std::string raw;
@@ -482,8 +482,8 @@ RunInfo WriteRun(std::vector<Record> records, TempFileManager* temp) {
                      return a.key < b.key;
                    });
   RunInfo run;
-  run.path = temp->NextPath();
-  SpillWriter writer(run.path);
+  run.file = std::make_shared<const SpillFile>(temp->NextPath());
+  SpillWriter writer(run.path());
   EXPECT_TRUE(writer.Open().ok());
   SpillBlockEncoder encoder;
   for (const Record& record : records) {
@@ -601,17 +601,16 @@ TEST(GroupedStreamTest, ExternalMergeOfManyMultiBlockRunsKeepsKeyThenRunOrder) {
     EXPECT_EQ(read[i].key, wanted[i].key) << "position " << i;
     EXPECT_EQ(read[i].value, wanted[i].value) << "position " << i;
   }
-  for (const RunInfo& run : runs) RemoveFileIfExists(run.path);
 }
 
 // ---- Split-recovery scatter -------------------------------------------------
 
 using KeyValue = std::pair<std::string, std::string>;
 
-/// Every record of one sorted run file, in file order.
+/// Every record of one sorted run, in file order, read through its range.
 std::vector<KeyValue> ReadRun(const RunInfo& run) {
   std::vector<KeyValue> records;
-  SpillReader reader(run.path);
+  SpillReader reader(run.path(), run.offset, run.file_bytes);
   EXPECT_TRUE(reader.Open().ok());
   SpillBlockDecoder decoder;
   std::string raw;
@@ -650,7 +649,6 @@ std::vector<std::vector<KeyValue>> SplitRecords(const ReduceInput& input,
     for (const RunInfo& run : sub.spill_runs) {
       out.back() = ReadRun(run);
       EXPECT_EQ(static_cast<int64_t>(out.back().size()), sub.total_records);
-      RemoveFileIfExists(run.path);
     }
   }
   return out;
@@ -796,7 +794,15 @@ TEST(ShuffleBufferTest, DestructorRemovesUntakenSpillRuns) {
     ShuffleCounters counters;
     ShuffleBuffer buffer(2, /*memory_budget_bytes=*/64, nullptr, &temp,
                          &counters);
-    for (int i = 0; i < 60; ++i) {
+    // Partition 1 alone first, so the first spills' files hold only
+    // partition 1 runs; then both partitions, so later files hold both.
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(buffer
+                      .Add(1, "key" + std::to_string(i),
+                           "value" + std::to_string(i))
+                      .ok());
+    }
+    for (int i = 30; i < 90; ++i) {
       ASSERT_TRUE(buffer
                       .Add(i % 2, "key" + std::to_string(i),
                            "value" + std::to_string(i))
@@ -807,15 +813,86 @@ TEST(ShuffleBufferTest, DestructorRemovesUntakenSpillRuns) {
     // with the buffer, as happens when a map attempt fails mid-shuffle.
     taken = buffer.TakeSpillRuns(0);
     ASSERT_GT(taken.size(), 0u);
-    // Partition 1's runs are still owned by the buffer: more files on disk
-    // than we took.
-    ASSERT_GT(CountFilesIn(temp.dir()), static_cast<int64_t>(taken.size()));
+    // Some files are referenced only by partition 1's untaken runs: more
+    // files on disk than the taken runs reference.
+    std::set<std::string> taken_files;
+    for (const RunInfo& run : taken) taken_files.insert(run.path());
+    ASSERT_GT(CountFilesIn(temp.dir()),
+              static_cast<int64_t>(taken_files.size()));
   }
-  // Destructor ran: only the taken runs' files may remain.
+  // Destructor ran: only the files the taken runs reference remain.
+  std::set<std::string> taken_files;
   for (const RunInfo& run : taken) {
-    EXPECT_TRUE(std::filesystem::exists(run.path)) << run.path;
-    RemoveFileIfExists(run.path);
+    EXPECT_TRUE(std::filesystem::exists(run.path())) << run.path();
+    taken_files.insert(run.path());
   }
+  EXPECT_EQ(CountFilesIn(temp.dir()),
+            static_cast<int64_t>(taken_files.size()));
+  // Releasing the last run that references a file deletes it.
+  taken.clear();
+  EXPECT_EQ(CountFilesIn(temp.dir()), 0);
+}
+
+TEST(ShuffleBufferTest, OneSpillFileHoldsEveryPartitionsRun) {
+  constexpr int kPartitions = 4;
+  TempFileManager temp("one_file");
+  ShuffleCounters counters;
+  ShuffleBuffer buffer(kPartitions, /*memory_budget_bytes=*/256, nullptr,
+                       &temp, &counters);
+  // Round-robin emission: every spill has records for every partition.
+  std::vector<std::multiset<KeyValue>> emitted(kPartitions);
+  for (int i = 0; i < 400; ++i) {
+    const int p = i % kPartitions;
+    const std::string key =
+        "p" + std::to_string(p) + "/k" + std::to_string((i * 7) % 23);
+    const std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(buffer.Add(p, key, value).ok());
+    emitted[static_cast<size_t>(p)].emplace(key, value);
+  }
+  ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
+
+  std::vector<std::vector<RunInfo>> runs(kPartitions);
+  for (int p = 0; p < kPartitions; ++p) {
+    runs[static_cast<size_t>(p)] = buffer.TakeSpillRuns(p);
+  }
+  const size_t spills = runs[0].size();
+  ASSERT_GT(spills, 1u);
+  // N spills leave N files, not N x P: run r of every partition is a range
+  // of spill r's file.
+  EXPECT_EQ(CountFilesIn(temp.dir()), static_cast<int64_t>(spills));
+  int64_t file_bytes = 0;
+  for (int p = 0; p < kPartitions; ++p) {
+    const std::vector<RunInfo>& own = runs[static_cast<size_t>(p)];
+    ASSERT_EQ(own.size(), spills) << "partition " << p;
+    for (size_t r = 0; r < spills; ++r) {
+      EXPECT_EQ(own[r].path(), runs[0][r].path()) << "partition " << p;
+      file_bytes += own[r].file_bytes;
+    }
+  }
+  EXPECT_EQ(file_bytes, counters.spill_bytes);
+
+  // Each run reads back exactly its own partition's records, in key order;
+  // with the memory segment they are everything the partition received.
+  for (int p = 0; p < kPartitions; ++p) {
+    std::multiset<KeyValue> received;
+    for (const RunInfo& run : runs[static_cast<size_t>(p)]) {
+      const std::vector<KeyValue> records = ReadRun(run);
+      EXPECT_EQ(static_cast<int64_t>(records.size()), run.records);
+      for (size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].first.substr(0, 2), "p" + std::to_string(p));
+        if (i > 0) {
+          EXPECT_LE(records[i - 1].first, records[i].first);
+        }
+      }
+      received.insert(records.begin(), records.end());
+    }
+    const ShuffleSegment segment = buffer.TakeMemorySegment(p);
+    for (const ShuffleRecordRef& ref : segment.refs()) {
+      received.emplace(ref.key(), ref.value());
+    }
+    EXPECT_EQ(received, emitted[static_cast<size_t>(p)]) << "partition " << p;
+  }
+  runs.clear();
   EXPECT_EQ(CountFilesIn(temp.dir()), 0);
 }
 
@@ -1095,8 +1172,6 @@ std::map<std::string, int64_t> RoundTrip(
     input.total_records += run.records;
     input.spill_runs.push_back(std::move(run));
   }
-  std::vector<std::string> run_paths;
-  for (const RunInfo& run : input.spill_runs) run_paths.push_back(run.path);
 
   auto stream =
       MakeGroupedStream(std::move(input), int64_t{1} << 30,
@@ -1110,9 +1185,6 @@ std::map<std::string, int64_t> RoundTrip(
       for (const std::string& value : values) total += std::stoll(value);
       sums[key] = total;
     }
-  }
-  for (const std::string& path : run_paths) {
-    std::filesystem::remove(path);  // runs taken out of the buffer are ours
   }
   return sums;
 }

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +39,7 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -231,12 +233,15 @@ std::vector<EmitInput> MakeCubeInputs(int64_t count, int num_partitions,
 /// identical work on both sides of the race.
 class SumCombiner : public Combiner {
  public:
-  Status Combine(const std::string& /*key*/,
-                 const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override {
-    int64_t total = 0;
-    for (const std::string& value : values) total += std::stoll(value);
-    combined->assign(1, std::to_string(total));
+  Status Fold(std::string_view acc, std::string_view value,
+              ByteWriter* out) const override {
+    int64_t a = 0;
+    int64_t b = 0;
+    std::from_chars(acc.data(), acc.data() + acc.size(), a);
+    std::from_chars(value.data(), value.data() + value.size(), b);
+    char digits[24];
+    const auto printed = std::to_chars(digits, digits + sizeof(digits), a + b);
+    out->PutRawBytes(std::string_view(digits, printed.ptr - digits));
     return Status::OK();
   }
 };

@@ -76,13 +76,16 @@ class StringShuffleBuffer {
       for (auto& [key, values] : by_key) {
         counters_->combine_input_records +=
             static_cast<int64_t>(values.size());
-        std::vector<std::string> merged;
-        SPCUBE_RETURN_IF_ERROR(combiner_->Combine(key, values, &merged));
-        counters_->combine_output_records +=
-            static_cast<int64_t>(merged.size());
-        for (std::string& value : merged) {
-          combined.push_back(Record{key, std::move(value)});
+        // Folds the key's values left to right, as the arena buffer does
+        // on insert.
+        std::string merged = std::move(values.front());
+        for (size_t i = 1; i < values.size(); ++i) {
+          ByteWriter folded;
+          SPCUBE_RETURN_IF_ERROR(combiner_->Fold(merged, values[i], &folded));
+          merged = folded.TakeData();
         }
+        counters_->combine_output_records += 1;
+        combined.push_back(Record{key, std::move(merged)});
       }
       partition = std::move(combined);
     }

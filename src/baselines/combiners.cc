@@ -5,18 +5,13 @@
 
 namespace spcube {
 
-Status AggStateCombiner::Combine(const std::string& /*key*/,
-                                 const std::vector<std::string>& values,
-                                 std::vector<std::string>* combined) const {
+Status AggStateCombiner::Fold(std::string_view acc, std::string_view value,
+                              ByteWriter* out) const {
   const Aggregator& agg = GetAggregator(kind_);
   AggState total = agg.Empty();
-  for (const std::string& value : values) {
-    SPCUBE_RETURN_IF_ERROR(MergeEncodedState(agg, value, &total));
-  }
-  ByteWriter writer;
-  total.EncodeTo(writer);
-  combined->clear();
-  combined->push_back(writer.TakeData());
+  SPCUBE_RETURN_IF_ERROR(MergeEncodedState(agg, acc, &total));
+  SPCUBE_RETURN_IF_ERROR(MergeEncodedState(agg, value, &total));
+  total.EncodeTo(*out);
   return Status::OK();
 }
 

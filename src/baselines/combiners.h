@@ -14,9 +14,10 @@ class AggStateCombiner : public Combiner {
  public:
   explicit AggStateCombiner(AggregateKind kind) : kind_(kind) {}
 
-  Status Combine(const std::string& key,
-                 const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override;
+  /// Decodes both states and writes the encoding of Empty() ⊕ acc ⊕ value,
+  /// so a left fold over a key's states equals MergeStates over them.
+  Status Fold(std::string_view acc, std::string_view value,
+              ByteWriter* out) const override;
 
  private:
   AggregateKind kind_;

@@ -54,8 +54,9 @@ class Arena {
     return *this;
   }
 
-  /// Copies `bytes` into the arena; returns the stable start address.
-  const char* Append(std::string_view bytes) {
+  /// Copies `bytes` into the arena; returns the stable start address,
+  /// writable in place until the next Reset.
+  char* Append(std::string_view bytes) {
     char* dst = Allocate(bytes.size());
     if (!bytes.empty()) std::memcpy(dst, bytes.data(), bytes.size());
     return dst;
@@ -63,7 +64,7 @@ class Arena {
 
   /// Copies `a` immediately followed by `b` into one contiguous region;
   /// returns the stable address of `a` (so `b` starts at result+a.size()).
-  const char* AppendPair(std::string_view a, std::string_view b) {
+  char* AppendPair(std::string_view a, std::string_view b) {
     char* dst = Allocate(a.size() + b.size());
     if (!a.empty()) std::memcpy(dst, a.data(), a.size());
     if (!b.empty()) std::memcpy(dst + a.size(), b.data(), b.size());

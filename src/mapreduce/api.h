@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -154,16 +155,21 @@ class HashPartitioner : public Partitioner {
   int Partition(std::string_view key, int num_reducers) const override;
 };
 
-/// Optional map-side pre-aggregation (Hadoop combiner). Called with all
-/// currently buffered values of one key; replaces them with the returned
-/// values (typically a single merged value). Must be stateless.
+/// Optional map-side pre-aggregation (Hadoop combiner). The map-side
+/// buffer keeps one running value per buffered key: a key's first value is
+/// buffered as emitted, and every later value of the key is folded into
+/// the running one on arrival (docs/INTERNALS.md §9). Must be stateless and
+/// associative: folding a key's values left to right in emission order
+/// must give the same bytes as merging them all at once.
 class Combiner {
  public:
   virtual ~Combiner() = default;
 
-  virtual Status Combine(const std::string& key,
-                         const std::vector<std::string>& values,
-                         std::vector<std::string>* combined) const = 0;
+  /// Appends the merge of `acc` (the key's running value) and `value` (its
+  /// next value) to `out`, which the caller passes empty. Neither input
+  /// aliases `out`. A malformed input fails the map task's `Add`.
+  virtual Status Fold(std::string_view acc, std::string_view value,
+                      ByteWriter* out) const = 0;
 };
 
 /// Receives the final output of every reduce task.

@@ -281,6 +281,27 @@ Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
   return Status::OK();
 }
 
+/// The combiner path's key-index hash: eight key bytes per multiply, where
+/// HashBytes (the partitioner's hash, which must not change) spends one
+/// per byte.
+uint64_t IndexHash(std::string_view key) {
+  uint64_t h = key.size() * 0x9e3779b97f4a7c15ULL;
+  const char* p = key.data();
+  size_t n = key.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 29;
+  }
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+  }
+  return Mix64(h);
+}
+
 /// Map-side combine headroom: after combining, the buffer only spills if it
 /// still holds more than this fraction of its memory budget. Below that,
 /// the freed headroom is kept so the next combine window can batch more
@@ -311,6 +332,8 @@ Status ShuffleBuffer::Add(int partition, std::string_view key,
       << "bad partition " << partition;
   counters_->map_output_records += 1;
   counters_->map_output_bytes += RecordBytes(key, value);
+  // Charged as emitted even when the value folds into a running one, so
+  // overflow fires on the same Add as a buffer of every record would.
   buffered_bytes_ += RecordBytes(key, value);
   PartitionState& part = partitions_[static_cast<size_t>(partition)];
   if (combiner_ == nullptr) {
@@ -318,23 +341,7 @@ Status ShuffleBuffer::Add(int partition, std::string_view key,
     part.records.push_back(RecordSlot{data, static_cast<uint32_t>(key.size()),
                                       static_cast<uint32_t>(value.size())});
   } else {
-    // Combine-eligible records hit the key index before any buffering: a
-    // repeated key stores only its value, never a second key copy.
-    if ((part.keys.size() + 1) * 2 > part.buckets.size()) {
-      RehashBuckets(&part, (part.keys.size() + 1) * 2);
-    }
-    const uint32_t key_index = FindOrInsertKey(&part, key);
-    const char* data = part.arena.Append(value);
-    const int32_t value_index = static_cast<int32_t>(part.values.size());
-    part.values.push_back(ValueSlot{data, static_cast<uint32_t>(value.size()),
-                                    static_cast<int32_t>(key_index), -1});
-    KeySlot& kslot = part.keys[key_index];
-    if (kslot.tail < 0) {
-      kslot.head = value_index;
-    } else {
-      part.values[static_cast<size_t>(kslot.tail)].next = value_index;
-    }
-    kslot.tail = value_index;
+    SPCUBE_RETURN_IF_ERROR(FoldIntoKey(&part, key, value));
   }
   if (buffered_bytes_ > memory_budget_bytes_) {
     SPCUBE_RETURN_IF_ERROR(Overflow());
@@ -348,24 +355,19 @@ Status ShuffleBuffer::FinalizeMapOutput() {
   std::vector<ShuffleRecordRef>().swap(scratch_refs_);
   std::vector<ShuffleSortItem>().swap(sort_items_);
   std::vector<ShuffleSortItem>().swap(sort_scratch_);
-  return CombineInMemory();
+  CombineInMemory();
+  return Status::OK();
 }
 
 void ShuffleBuffer::AppendRecordRefs(
     const PartitionState& part, std::vector<ShuffleRecordRef>* refs) const {
-  if (combiner_ == nullptr) {
-    for (const RecordSlot& slot : part.records) {
-      refs->push_back(ShuffleRecordRef{slot.data, slot.data + slot.key_len,
-                                       slot.key_len, slot.value_len});
-    }
-  } else {
-    // `values` is emission order (after a combine: key-insertion order with
-    // each key's merged values contiguous) — the canonical record order.
-    for (const ValueSlot& value : part.values) {
-      const KeySlot& key = part.keys[static_cast<size_t>(value.key_index)];
-      refs->push_back(
-          ShuffleRecordRef{key.data, value.data, key.len, value.len});
-    }
+  for (const RecordSlot& slot : part.records) {
+    refs->push_back(ShuffleRecordRef{slot.data, slot.data + slot.key_len,
+                                     slot.key_len, slot.value_len});
+  }
+  for (const KeySlot& slot : part.keys) {
+    refs->push_back(
+        ShuffleRecordRef{slot.data, slot.value, slot.len, slot.value_len});
   }
 }
 
@@ -375,47 +377,56 @@ void ShuffleBuffer::ResetPartition(PartitionState* part) {
   part->arena.Reset();
   part->records.clear();
   part->keys.clear();
-  part->values.clear();
-  if (!part->buckets.empty()) {
-    std::fill(part->buckets.begin(), part->buckets.end(), 0u);
-  }
+  std::fill(part->buckets.begin(), part->buckets.end(), Bucket{});
 }
 
-void ShuffleBuffer::RehashBuckets(PartitionState* part, size_t min_slots) {
-  size_t want = 16;
-  while (want < min_slots) want <<= 1;
-  if (want < part->buckets.size()) want = part->buckets.size();
-  part->buckets.assign(want, 0u);
-  const size_t mask = want - 1;
-  for (size_t k = 0; k < part->keys.size(); ++k) {
-    size_t slot = static_cast<size_t>(part->keys[k].hash) & mask;
-    while (part->buckets[slot] != 0) slot = (slot + 1) & mask;
-    part->buckets[slot] = static_cast<uint32_t>(k + 1);
+void ShuffleBuffer::GrowBuckets(PartitionState* part) {
+  std::vector<Bucket> grown(std::max<size_t>(16, part->buckets.size() * 2));
+  const size_t mask = grown.size() - 1;
+  for (const Bucket& bucket : part->buckets) {
+    if (bucket.index == 0) continue;
+    size_t slot = bucket.tag & mask;
+    while (grown[slot].index != 0) slot = (slot + 1) & mask;
+    grown[slot] = bucket;
   }
+  part->buckets.swap(grown);
 }
 
-uint32_t ShuffleBuffer::FindOrInsertKey(PartitionState* part,
-                                        std::string_view key) {
-  const uint64_t hash = HashBytes(key);
+Status ShuffleBuffer::FoldIntoKey(PartitionState* part, std::string_view key,
+                                  std::string_view value) {
+  if ((part->keys.size() + 1) * 2 > part->buckets.size()) GrowBuckets(part);
+  const auto tag = static_cast<uint32_t>(IndexHash(key));
   const size_t mask = part->buckets.size() - 1;
-  size_t slot = static_cast<size_t>(hash) & mask;
-  for (;;) {
-    const uint32_t stored = part->buckets[slot];
-    if (stored == 0) {
-      const char* data = part->arena.Append(key);
-      part->keys.push_back(KeySlot{data, static_cast<uint32_t>(key.size()),
-                                   hash, -1, -1});
-      part->buckets[slot] = static_cast<uint32_t>(part->keys.size());
-      return static_cast<uint32_t>(part->keys.size() - 1);
+  size_t slot = tag & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const Bucket bucket = part->buckets[slot];
+    if (bucket.index == 0) break;
+    if (bucket.tag != tag) continue;
+    KeySlot& existing = part->keys[bucket.index - 1];
+    if (std::string_view(existing.data, existing.len) != key) continue;
+    folded_.Clear();
+    SPCUBE_RETURN_IF_ERROR(combiner_->Fold(
+        std::string_view(existing.value, existing.value_len), value,
+        &folded_));
+    const std::string_view merged = folded_.data();
+    if (merged.size() > existing.value_capacity) {
+      existing.value = part->arena.Append(merged);
+      existing.value_capacity = static_cast<uint32_t>(merged.size());
+    } else {
+      std::memcpy(existing.value, merged.data(), merged.size());
     }
-    const KeySlot& existing = part->keys[stored - 1];
-    if (existing.hash == hash && existing.len == key.size() &&
-        (key.empty() ||
-         std::memcmp(existing.data, key.data(), key.size()) == 0)) {
-      return stored - 1;
-    }
-    slot = (slot + 1) & mask;
+    existing.value_len = static_cast<uint32_t>(merged.size());
+    ++existing.pending;
+    return Status::OK();
   }
+  // A new key: its first value is buffered as emitted.
+  char* data = part->arena.AppendPair(key, value);
+  const auto value_len = static_cast<uint32_t>(value.size());
+  part->keys.push_back(KeySlot{data, data + key.size(),
+                               static_cast<uint32_t>(key.size()), value_len,
+                               value_len, /*pending=*/1});
+  part->buckets[slot] = Bucket{tag, static_cast<uint32_t>(part->keys.size())};
+  return Status::OK();
 }
 
 ShuffleSegment ShuffleBuffer::TakeMemorySegment(int partition) {
@@ -456,7 +467,7 @@ std::vector<RunInfo> ShuffleBuffer::TakeSpillRuns(int partition) {
 
 Status ShuffleBuffer::Overflow() {
   if (combiner_ != nullptr) {
-    SPCUBE_RETURN_IF_ERROR(CombineInMemory());
+    CombineInMemory();
     // Keep the buffer only if combining freed real headroom; a buffer that
     // hovers near the budget would otherwise re-combine after every few
     // records (quadratic). Hadoop applies the same spill-anyway rule. The
@@ -468,70 +479,33 @@ Status ShuffleBuffer::Overflow() {
   return SpillAll();
 }
 
-Status ShuffleBuffer::CombineInMemory() {
-  if (combiner_ == nullptr) return Status::OK();
+void ShuffleBuffer::CombineInMemory() {
+  if (combiner_ == nullptr) return;
+  // Every value is already folded in; a pass settles the counters, drops
+  // the charge of folded-away records and compacts the running values.
+  // Keys keep their indices, so the bucket array stays valid.
   int64_t live_bytes = 0;
   for (PartitionState& part : partitions_) {
     if (part.keys.empty()) continue;
-    // Compact into the spare arena/slot vectors, then swap. The spare side
-    // retains its capacity across passes, so the steady-state cycle of
-    // fill → combine → fill performs no heap allocations.
-    for (size_t k = 0; k < part.keys.size(); ++k) {
-      const KeySlot& kslot = part.keys[k];
-      size_t count = 0;
-      for (int32_t v = kslot.head; v >= 0;
-           v = part.values[static_cast<size_t>(v)].next) {
-        ++count;
-      }
-      combine_values_.resize(count);
-      size_t i = 0;
-      for (int32_t v = kslot.head; v >= 0;
-           v = part.values[static_cast<size_t>(v)].next) {
-        const ValueSlot& vslot = part.values[static_cast<size_t>(v)];
-        combine_values_[i++].assign(vslot.data, vslot.len);
-      }
-      counters_->combine_input_records += static_cast<int64_t>(count);
-      combine_key_.assign(kslot.data, kslot.len);
-      combine_merged_.clear();
-      SPCUBE_RETURN_IF_ERROR(
-          combiner_->Combine(combine_key_, combine_values_, &combine_merged_));
-      counters_->combine_output_records +=
-          static_cast<int64_t>(combine_merged_.size());
-      if (combine_merged_.empty()) continue;  // combiner dropped the key
-      const char* key_data =
-          part.spare_arena.Append(std::string_view(kslot.data, kslot.len));
-      const int32_t new_key_index =
-          static_cast<int32_t>(part.spare_keys.size());
-      part.spare_keys.push_back(KeySlot{key_data, kslot.len, kslot.hash,
-                                        -1, -1});
-      KeySlot& new_key = part.spare_keys.back();
-      for (const std::string& merged : combine_merged_) {
-        const char* value_data = part.spare_arena.Append(merged);
-        const int32_t value_index =
-            static_cast<int32_t>(part.spare_values.size());
-        part.spare_values.push_back(
-            ValueSlot{value_data, static_cast<uint32_t>(merged.size()),
-                      new_key_index, -1});
-        if (new_key.tail < 0) {
-          new_key.head = value_index;
-        } else {
-          part.spare_values[static_cast<size_t>(new_key.tail)].next =
-              value_index;
-        }
-        new_key.tail = value_index;
-        live_bytes += RecordBytes(combine_key_, merged);
-      }
+    // The spare arena retains its capacity across passes, so the steady-
+    // state cycle of fill → combine → fill performs no heap allocations.
+    for (KeySlot& slot : part.keys) {
+      const std::string_view key(slot.data, slot.len);
+      const std::string_view value(slot.value, slot.value_len);
+      counters_->combine_input_records += slot.pending;
+      slot.pending = 1;
+      char* data = part.spare_arena.AppendPair(key, value);
+      slot.data = data;
+      slot.value = data + slot.len;
+      slot.value_capacity = slot.value_len;
+      live_bytes += RecordBytes(key, value);
     }
+    counters_->combine_output_records +=
+        static_cast<int64_t>(part.keys.size());
     std::swap(part.arena, part.spare_arena);
-    part.keys.swap(part.spare_keys);
-    part.values.swap(part.spare_values);
-    part.spare_keys.clear();
-    part.spare_values.clear();
     part.spare_arena.Reset();
-    RehashBuckets(&part, (part.keys.size() + 1) * 2);
   }
   buffered_bytes_ = live_bytes;
-  return Status::OK();
 }
 
 Status ShuffleBuffer::SpillAll() {

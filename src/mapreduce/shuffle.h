@@ -254,10 +254,14 @@ class ShuffleSegment {
 ///
 ///  * Add appends `[key|value]` bytes into the partition's arena and records
 ///    a compact slot; no per-record std::string is created.
-///  * With a combiner, keys are deduplicated on the way in through an
-///    open-addressing index keyed on string_views into the arena (built
-///    incrementally, not per overflow); each key's values form a linked
-///    list in emission order.
+///  * With a combiner, each buffered key keeps one running value. Add looks
+///    the key up in an open-addressing index (buckets hold a 32-bit hash
+///    tag beside the key index, so a probe miss never touches a key) and
+///    folds the value into the key's running value on the spot, rewriting
+///    it in place in the arena when it fits and appending it again when it
+///    grows. A combine pass then only compacts the (key, value) pairs into
+///    the spare arena and settles the combine counters; keys keep their
+///    indices, so the bucket array survives it.
 ///  * Spills radix-sort slot indices by (full key, emission order) — the
 ///    order of a stable sort by key — and stream the runs straight from
 ///    arena bytes through the CRC32C spill writer. Each spill writes one
@@ -309,50 +313,51 @@ class ShuffleBuffer {
     uint32_t key_len = 0;
     uint32_t value_len = 0;
   };
-  /// One distinct key of the combiner path, plus its value list.
+  /// One distinct key of the combiner path and its running value: key
+  /// bytes at `data`, the value at `value` in `value_capacity` bytes of the
+  /// same arena (right after the key until a fold outgrows them).
   struct KeySlot {
     const char* data = nullptr;
+    char* value = nullptr;
     uint32_t len = 0;
-    uint64_t hash = 0;
-    int32_t head = -1;  // first ValueSlot index, -1 when empty
-    int32_t tail = -1;  // last ValueSlot index
+    uint32_t value_len = 0;
+    uint32_t value_capacity = 0;
+    /// Values the running value stands for since the last combine pass
+    /// (the carried value included): that pass's combine input.
+    uint32_t pending = 0;
   };
-  /// One value of the combiner path; `values` order is emission order.
-  struct ValueSlot {
-    const char* data = nullptr;
-    uint32_t len = 0;
-    int32_t key_index = -1;
-    int32_t next = -1;  // next value of the same key
+  /// Open-addressing slot: `index` is key index + 1, 0 when empty; `tag`
+  /// is the key's hash, whose low bits also pick the home slot.
+  struct Bucket {
+    uint32_t tag = 0;
+    uint32_t index = 0;
   };
   struct PartitionState {
     Arena arena;
     Arena spare_arena;  // compaction target; swapped with `arena` per pass
     std::vector<RecordSlot> records;  // no-combiner mode
-    std::vector<KeySlot> keys;        // combiner mode
-    std::vector<ValueSlot> values;
-    std::vector<KeySlot> spare_keys;
-    std::vector<ValueSlot> spare_values;
-    std::vector<uint32_t> buckets;  // open addressing; key_index+1, 0=empty
+    std::vector<KeySlot> keys;        // combiner mode, in insertion order
+    std::vector<Bucket> buckets;      // power-of-two size, at most half full
   };
 
-  /// Combines in-memory records per key; if memory still exceeds the budget
-  /// afterwards (or there is no combiner), sorts and spills each partition.
+  /// Runs a combine pass; if memory still exceeds the headroom afterwards
+  /// (or there is no combiner), sorts and spills each partition.
   Status Overflow();
-  Status CombineInMemory();
+  void CombineInMemory();
   Status SpillAll();
 
   /// Appends refs for a partition's live records in canonical order
-  /// (emission order; after a combine, key-insertion order with each key's
-  /// merged values contiguous).
+  /// (emission order; with a combiner, key-insertion order).
   void AppendRecordRefs(const PartitionState& part,
                         std::vector<ShuffleRecordRef>* refs) const;
   void ResetPartition(PartitionState* part);
-  /// Rehashes `part->keys` into a cleared bucket array of at least
-  /// `min_slots` slots (power of two; never shrinks existing capacity).
-  void RehashBuckets(PartitionState* part, size_t min_slots);
-  /// Index into `part->keys` for `key`, inserting (arena-copying the key
-  /// bytes) if absent. Caller ensures bucket headroom.
-  uint32_t FindOrInsertKey(PartitionState* part, std::string_view key);
+  /// Folds `value` into `key`'s running value, inserting the key (its
+  /// bytes and `value` copied into the arena) if absent.
+  Status FoldIntoKey(PartitionState* part, std::string_view key,
+                     std::string_view value);
+  /// Doubles the bucket array (16 slots at least), re-placing every key by
+  /// its stored tag.
+  static void GrowBuckets(PartitionState* part);
 
   int num_partitions_;
   int64_t memory_budget_bytes_;
@@ -372,9 +377,7 @@ class ShuffleBuffer {
 
   // Reusable scratch so the steady-state Add → combine → spill cycle
   // performs no per-record heap allocations.
-  std::string combine_key_;
-  std::vector<std::string> combine_values_;
-  std::vector<std::string> combine_merged_;
+  ByteWriter folded_;
   // spcube-analyzer: allow(view-escape): per-call scratch; cleared and refilled inside each Take*/spill call, never escapes
   std::vector<ShuffleRecordRef> scratch_refs_;
   std::vector<ShuffleSortItem> sort_items_;

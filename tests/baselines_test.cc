@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/combiners.h"
 #include "baselines/hive.h"
 #include "baselines/mrcube.h"
 #include "baselines/naive.h"
+#include "common/random.h"
+#include "core/cube_algorithm.h"
 #include "core/cube_output.h"
 #include "cube/cube_result.h"
+#include "mapreduce/shuffle.h"
 #include "relation/generators.h"
 
 namespace spcube {
@@ -181,6 +185,96 @@ class DiscardingReduceContext : public ReduceContext {
     return Status::OK();
   }
 };
+
+/// Yields a fixed list of values.
+class ListValueStream : public ValueStream {
+ public:
+  explicit ListValueStream(const std::vector<std::string>& values)
+      : values_(values) {}
+
+  Result<bool> Next(std::string* value) override {
+    if (next_ == values_.size()) return false;
+    *value = values_[next_++];
+    return true;
+  }
+
+ private:
+  const std::vector<std::string>& values_;
+  size_t next_ = 0;
+};
+
+std::string EncodeState(const AggState& state) {
+  ByteWriter writer;
+  state.EncodeTo(writer);
+  return writer.TakeData();
+}
+
+constexpr AggregateKind kAllAggregates[] = {
+    AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+    AggregateKind::kMax, AggregateKind::kAvg};
+
+TEST(AggStateCombinerTest, LeftFoldEqualsMergeStates) {
+  // The shuffle folds each key's states left to right as they arrive; the
+  // result must be the bytes MergeStates gives for the whole list, empty
+  // states (a min/max state with v1 == 0) included anywhere in it.
+  Rng rng(61);
+  for (const AggregateKind kind : kAllAggregates) {
+    const Aggregator& agg = GetAggregator(kind);
+    AggStateCombiner combiner(kind);
+    for (int trial = 0; trial < 20; ++trial) {
+      SCOPED_TRACE(std::string(agg.name()) + " trial " +
+                   std::to_string(trial));
+      std::vector<std::string> states;
+      const int count = 1 + static_cast<int>(rng.NextBounded(8));
+      for (int i = 0; i < count; ++i) {
+        AggState state = agg.Empty();
+        const int measures = static_cast<int>(rng.NextBounded(4));
+        for (int m = 0; m < measures; ++m) {
+          agg.Add(state, rng.NextInRange(-100000, 100000));
+        }
+        states.push_back(EncodeState(state));
+      }
+      std::string acc = states[0];
+      for (size_t i = 1; i < states.size(); ++i) {
+        ByteWriter folded;
+        ASSERT_TRUE(combiner.Fold(acc, states[i], &folded).ok());
+        acc = folded.TakeData();
+      }
+      ListValueStream stream(states);
+      auto merged = MergeStates(agg, stream);
+      ASSERT_TRUE(merged.ok()) << merged.status();
+      EXPECT_EQ(acc, EncodeState(*merged));
+    }
+    // Two empty states fold to the empty state.
+    ByteWriter folded;
+    ASSERT_TRUE(combiner
+                    .Fold(EncodeState(agg.Empty()), EncodeState(agg.Empty()),
+                          &folded)
+                    .ok());
+    EXPECT_EQ(folded.data(), EncodeState(agg.Empty())) << agg.name();
+  }
+}
+
+TEST(AggStateCombinerTest, TruncatedStateFailsAddWithCorruption) {
+  // A value cut inside its varints reaches the combiner when a second value
+  // of its key arrives, from either side of the fold: Add reports it.
+  const std::string valid = EncodeState(AggState{1000, 1});
+  const std::string truncated = valid.substr(0, 1);
+  for (const AggregateKind kind : kAllAggregates) {
+    SCOPED_TRACE(GetAggregator(kind).name());
+    AggStateCombiner combiner(kind);
+    TempFileManager temp("fold_corrupt");
+    ShuffleCounters counters;
+    ShuffleBuffer buffer(1, int64_t{1} << 20, &combiner, &temp, &counters);
+    ASSERT_TRUE(buffer.Add(0, "late", valid).ok());
+    EXPECT_EQ(buffer.Add(0, "late", truncated).code(),
+              StatusCode::kCorruption);
+    ASSERT_TRUE(buffer.Add(0, "early", truncated).ok());
+    EXPECT_EQ(buffer.Add(0, "early", valid).code(), StatusCode::kCorruption);
+    EXPECT_EQ(buffer.Add(0, "empty", "").code(), StatusCode::kOk);
+    EXPECT_EQ(buffer.Add(0, "empty", valid).code(), StatusCode::kCorruption);
+  }
+}
 
 TEST(MrCubeTest, AnnotateReducerRejectsKeysOtherThanTheSampleKey) {
   MrCubeAnnotateReducer reducer(3, 100, SketchBuildConfig{}, "annotations");

@@ -11,6 +11,7 @@
 #include "io/dfs.h"
 #include "mapreduce/engine.h"
 #include "relation/generators.h"
+#include "sum_combiner.h"
 
 namespace spcube {
 namespace {
@@ -37,19 +38,6 @@ class CountReducer : public Reducer {
       count += std::stoll(value);
     }
     return context.Output(key, std::to_string(count));
-  }
-};
-
-/// Combiner that sums decimal-string values.
-class SumCombiner : public Combiner {
- public:
-  Status Combine(const std::string& /*key*/,
-                 const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override {
-    int64_t total = 0;
-    for (const std::string& value : values) total += std::stoll(value);
-    combined->assign(1, std::to_string(total));
-    return Status::OK();
   }
 };
 

@@ -26,6 +26,7 @@
 #include "mapreduce/fault.h"
 #include "relation/generators.h"
 #include "relation/schema.h"
+#include "sum_combiner.h"
 
 namespace spcube {
 namespace {
@@ -59,17 +60,6 @@ class SumReducer : public Reducer {
       sum += std::stoll(value);
     }
     return context.Output(key, std::to_string(sum));
-  }
-};
-
-class SumCombiner : public Combiner {
- public:
-  Status Combine(const std::string&, const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override {
-    int64_t sum = 0;
-    for (const std::string& value : values) sum += std::stoll(value);
-    combined->push_back(std::to_string(sum));
-    return Status::OK();
   }
 };
 

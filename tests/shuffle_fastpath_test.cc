@@ -23,6 +23,7 @@
 #include "mapreduce/shuffle.h"
 #include "relation/generators.h"
 #include "relation/relation.h"
+#include "sum_combiner.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Overriding the global operator new lets the
@@ -144,20 +145,6 @@ TEST(ArenaTest, ResetReusesChunksAllocationFree) {
 // ---------------------------------------------------------------------------
 // ShuffleBuffer allocation behaviour.
 // ---------------------------------------------------------------------------
-
-/// Sums decimal-string values; the merged value stays within std::string's
-/// inline capacity so combining itself needs no heap storage.
-class SumCombiner : public Combiner {
- public:
-  Status Combine(const std::string& /*key*/,
-                 const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override {
-    int64_t total = 0;
-    for (const std::string& value : values) total += std::stoll(value);
-    combined->assign(1, std::to_string(total));
-    return Status::OK();
-  }
-};
 
 TEST(ShuffleFastPathTest, SteadyStateEmitAndCombineAllocationFree) {
   TempFileManager temp("fastpath");

@@ -11,29 +11,19 @@
 #include <set>
 #include <utility>
 
+#include "baselines/combiners.h"
 #include "common/bytes.h"
 #include "common/random.h"
+#include "cube/aggregate.h"
 #include "io/dfs.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/shuffle.h"
 #include "relation/generators.h"
+#include "sum_combiner.h"
 
 namespace spcube {
 namespace {
-
-/// Sums decimal-string values.
-class SumCombiner : public Combiner {
- public:
-  Status Combine(const std::string& /*key*/,
-                 const std::vector<std::string>& values,
-                 std::vector<std::string>* combined) const override {
-    int64_t total = 0;
-    for (const std::string& value : values) total += std::stoll(value);
-    combined->assign(1, std::to_string(total));
-    return Status::OK();
-  }
-};
 
 std::map<std::string, std::vector<std::string>> DrainStream(
     GroupedRecordStream& stream) {
@@ -894,6 +884,125 @@ TEST(ShuffleBufferTest, OneSpillFileHoldsEveryPartitionsRun) {
   }
   runs.clear();
   EXPECT_EQ(CountFilesIn(temp.dir()), 0);
+}
+
+/// A spill run or memory segment rendered as "key=count ..." in record
+/// order, the values decoded as count states.
+std::string RenderCounts(const std::vector<KeyValue>& records) {
+  std::string out;
+  for (const auto& [key, value] : records) {
+    ByteReader reader(value);
+    AggState state;
+    EXPECT_TRUE(AggState::DecodeFrom(reader, &state).ok());
+    EXPECT_TRUE(reader.AtEnd());
+    out += " " + key + "=" + std::to_string(state.v0);
+  }
+  return out;
+}
+
+TEST(ShuffleBufferTest, FoldOnInsertKeepsCountersAndRuns) {
+  // Golden counters and records of a seeded combine workload over 4
+  // partitions: folding on insert must give the combine counters, spill
+  // runs and segments of whole-buffer combine passes at the same trigger
+  // points (docs/INTERNALS.md §9). The hot keys' counts
+  // cross every varint width their states pass through (64 and 8192 for
+  // the zigzag count, 128 and 16384 for a plain varint), so a folded value
+  // outgrows its arena bytes and is appended again.
+  constexpr int kPartitions = 4;
+  TempFileManager temp("fold_golden");
+  ShuffleCounters counters;
+  AggStateCombiner combiner(AggregateKind::kCount);
+  ShuffleBuffer buffer(kPartitions, /*memory_budget_bytes=*/512, &combiner,
+                       &temp, &counters);
+  ByteWriter one;
+  AggState{1, 0}.EncodeTo(one);
+  const auto add = [&](const std::string& key) {
+    const int partition = static_cast<int>(key.back() - '0') % kPartitions;
+    return buffer.Add(partition, key, one.data());
+  };
+  Rng rng(23);
+  const auto shuffled = [&rng](std::vector<std::string> keys) {
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+    }
+    return keys;
+  };
+
+  // Few live keys: every overflow is a combine-only pass.
+  std::vector<std::string> hot(16400, "h0");
+  hot.insert(hot.end(), 130, "h1");
+  for (int i = 0; i < 2000; ++i) {
+    hot.push_back("w" + std::to_string(rng.NextBounded(10)));
+  }
+  for (const std::string& key : shuffled(hot)) ASSERT_TRUE(add(key).ok());
+  ASSERT_EQ(counters.spill_bytes, 0) << "test invalid: a hot pass spilled";
+  // Distinct keys: combining frees too little, so passes spill.
+  std::vector<std::string> cold;
+  for (int i = 0; i < 150; ++i) {
+    cold.push_back("c" + std::to_string(i));
+    cold.push_back("w" + std::to_string(rng.NextBounded(10)));
+  }
+  for (const std::string& key : shuffled(cold)) ASSERT_TRUE(add(key).ok());
+  ASSERT_GT(counters.spill_bytes, 0) << "test invalid: nothing spilled";
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(add(i % 3 == 0 ? "h1" : "w" + std::to_string(i % 7)).ok());
+  }
+  ASSERT_TRUE(buffer.FinalizeMapOutput().ok());
+
+  std::string rendered =
+      "map " + std::to_string(counters.map_output_records) + "/" +
+      std::to_string(counters.map_output_bytes) + " combine " +
+      std::to_string(counters.combine_input_records) + "->" +
+      std::to_string(counters.combine_output_records) + " spill " +
+      std::to_string(counters.spill_bytes) + "\n";
+  for (int p = 0; p < kPartitions; ++p) {
+    const std::vector<RunInfo> runs = buffer.TakeSpillRuns(p);
+    for (size_t r = 0; r < runs.size(); ++r) {
+      rendered += "p" + std::to_string(p) + " run" + std::to_string(r) + " " +
+                  std::to_string(runs[r].records) + "/" +
+                  std::to_string(runs[r].payload_bytes) + "/" +
+                  std::to_string(runs[r].file_bytes) + ":" +
+                  RenderCounts(ReadRun(runs[r])) + "\n";
+    }
+    const ShuffleSegment segment = buffer.TakeMemorySegment(p);
+    std::vector<KeyValue> records;
+    for (const ShuffleRecordRef& ref : segment.refs()) {
+      records.emplace_back(ref.key(), ref.value());
+    }
+    rendered += "p" + std::to_string(p) + " memory " +
+                std::to_string(segment.num_records()) + "/" +
+                std::to_string(segment.payload_bytes()) + ":" +
+                RenderCounts(records) + "\n";
+  }
+  EXPECT_EQ(rendered,
+      "map 19130/76710 combine 21224->2276 spill 1147\n"
+      "p0 run0 20/108/144: c100=1 c120=1 c124=1 c128=1 c130=1 c134=1 "
+      "c148=1 c18=1 c20=1 c28=1 c30=1 c40=1 c44=1 c70=1 c74=1 c90=1 "
+      "h0=16400 w0=196 w4=191 w8=200\n"
+      "p0 run1 31/157/203: c0=1 c10=1 c104=1 c108=1 c110=1 c114=1 c118=1 "
+      "c138=1 c14=1 c140=1 c144=1 c24=1 c34=1 c38=1 c4=1 c48=1 c50=1 "
+      "c54=1 c58=1 c60=1 c64=1 c78=1 c8=1 c80=1 c84=1 c88=1 c94=1 c98=1 "
+      "w0=7 w4=4 w8=4\n"
+      "p0 memory 4/17: w8=2 w0=29 c68=1 w4=31\n"
+      "p1 run0 23/120/162: c1=1 c101=1 c105=1 c109=1 c111=1 c121=1 c139=1 "
+      "c145=1 c15=1 c19=1 c25=1 c35=1 c41=1 c49=1 c5=1 c55=1 c75=1 c89=1 "
+      "c99=1 h1=130 w1=213 w5=194 w9=195\n"
+      "p1 run1 27/138/181: c11=1 c115=1 c119=1 c129=1 c131=1 c135=1 "
+      "c141=1 c149=1 c29=1 c31=1 c39=1 c45=1 c51=1 c59=1 c61=1 c65=1 "
+      "c69=1 c71=1 c79=1 c81=1 c85=1 c9=1 c91=1 c95=1 w1=10 w5=5 w9=3\n"
+      "p1 memory 6/28: w9=1 c125=1 w5=31 c21=1 w1=30 h1=100\n"
+      "p2 run0 12/64/90: c102=1 c112=1 c12=1 c132=1 c136=1 c22=1 c46=1 "
+      "c66=1 c82=1 c96=1 w2=230 w6=205\n"
+      "p2 run1 21/107/145: c106=1 c116=1 c122=1 c126=1 c142=1 c146=1 "
+      "c16=1 c2=1 c26=1 c36=1 c42=1 c52=1 c56=1 c6=1 c62=1 c72=1 c76=1 "
+      "c86=1 c92=1 w2=9 w6=8\n"
+      "p2 memory 3/13: c32=1 w6=30 w2=30\n"
+      "p3 run0 21/112/150: c103=1 c107=1 c113=1 c117=1 c123=1 c137=1 "
+      "c147=1 c17=1 c23=1 c33=1 c37=1 c43=1 c53=1 c57=1 c67=1 c73=1 c83=1 "
+      "c87=1 c93=1 w3=218 w7=232\n"
+      "p3 run1 10/47/72: c13=1 c143=1 c27=1 c3=1 c47=1 c63=1 c7=1 c77=1 "
+      "w3=8 w7=6\n"
+      "p3 memory 4/21: c133=1 c127=1 c97=1 w3=28\n");
 }
 
 TEST(ShuffleLifetimeTest, RetriedChaosJobLeavesNoTempFiles) {

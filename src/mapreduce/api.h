@@ -234,13 +234,15 @@ enum class MemoryPolicy : int8_t {
 /// `split_fanout` sub-partitions (SplitReduceInput: a group too big for a
 /// sub-partition's share of the budget is dealt over all of them, so even
 /// a single oversized group shrinks; smaller groups stay whole), reduce
-/// each sub-partition independently, and merge the partial outputs with
-/// `merge_reducer_factory` in a follow-up merge round.
+/// each sub-partition independently, and merge the partial outputs of the
+/// groups that were dealt out with `merge_reducer_factory` in a follow-up
+/// merge round. A group kept whole commits its outputs unmerged.
 ///
 /// Splitting is only exact when (a) every reduce output key is emitted by
-/// at most one group per partition and (b) the merge reducer is associative
-/// and closed over final values (count/sum/min/max over encoded doubles
-/// qualify; avg and iceberg thresholds do not — see docs/INTERNALS.md §11).
+/// at most one group per partition, so only a dealt-out group's outputs
+/// can repeat a key, and (b) the merge reducer is associative and closed
+/// over final values (count/sum/min/max over encoded doubles qualify; avg
+/// and iceberg thresholds do not — see docs/INTERNALS.md §11).
 /// Jobs whose aggregates are holistic must leave splitting disabled and
 /// set `reject_reason` so the fail-fast Status explains why.
 struct RecoverySpec {
@@ -255,9 +257,10 @@ struct RecoverySpec {
   /// 2^8 = 256 leaves — enough for a partition ~256x over budget, e.g.
   /// a full-budget overflow retried under injected 0.25x pressure).
   int max_split_depth = 8;
-  /// Builds the reducer of the merge round over sub-partition outputs.
-  /// Receives (output key, all partial final values) groups in ascending
-  /// key order, exactly like a normal reducer.
+  /// Builds the reducer of the merge round, which runs once per split
+  /// partition over the dealt-out groups' outputs (possibly none). Receives
+  /// (output key, all partial final values) groups in ascending key order,
+  /// exactly like a normal reducer.
   std::function<std::unique_ptr<Reducer>()> merge_reducer_factory;
   /// Appended to the ResourceExhausted Status when splitting is disabled,
   /// explaining why this job cannot degrade (e.g. "avg finalizes to a

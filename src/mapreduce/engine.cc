@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -111,20 +112,14 @@ class GroupValueStream : public ValueStream {
   GroupedRecordStream* stream_;
 };
 
-/// Buffers a reduce attempt's output and publishes it only on success, so
-/// failed attempts (which are retried from scratch) leave no trace in the
-/// job output — the commit protocol of a real MapReduce runtime.
+/// Buffers a reduce attempt's output in arena-backed segments and publishes
+/// it only on success, so failed attempts (which are retried from scratch)
+/// leave no trace in the job output — the commit protocol of a real
+/// MapReduce runtime.
 class EngineReduceContext : public ReduceContext {
  public:
-  /// `expected_outputs` pre-sizes the commit buffer when the caller knows
-  /// the output count, sparing its grow-and-copy steps.
-  explicit EngineReduceContext(size_t expected_outputs) {
-    pending_.reserve(expected_outputs);
-  }
-
   Status Output(std::string_view key, std::string_view value) override {
-    // spcube-lint: allow(no-owning-copy-in-hot-path): attempt-private commit buffer must own its bytes past the reducer's scratch lifetime
-    pending_.push_back(Record{std::string(key), std::string(value)});
+    (to_merge_ ? merge_ : whole_).Add(key, value);
     return Status::OK();
   }
 
@@ -132,21 +127,22 @@ class EngineReduceContext : public ReduceContext {
     counters_[name] += delta;
   }
 
-  /// Moves the buffered output onto `out` and adds the counters into
-  /// `counters`; call once, after the attempt succeeded.
-  void CommitTo(std::vector<Record>* out, CounterMap* counters) {
-    if (out->empty()) {
-      *out = std::move(pending_);
-    } else {
-      out->insert(out->end(), std::make_move_iterator(pending_.begin()),
-                  std::make_move_iterator(pending_.end()));
-    }
-    pending_.clear();
+  /// Whether the outputs that follow go to the merge round.
+  void RouteToMerge(bool to_merge) { to_merge_ = to_merge; }
+
+  /// Appends the output to `out` (what was routed to the merge to
+  /// `merge_out`) and the counters to `counters`; call once, on success.
+  void CommitTo(std::vector<ShuffleSegment>* out,
+                std::vector<ShuffleSegment>* merge_out, CounterMap* counters) {
+    if (whole_.num_records() > 0) out->push_back(whole_.Finish());
+    if (merge_.num_records() > 0) merge_out->push_back(merge_.Finish());
     AddCounters(counters_, counters);
   }
 
  private:
-  std::vector<Record> pending_;
+  SegmentBuilder whole_;
+  SegmentBuilder merge_;
+  bool to_merge_ = false;
   CounterMap counters_;
 };
 
@@ -177,8 +173,8 @@ struct ReduceTaskState {
   int64_t bytes_reshuffled = 0;
   double recovery_seconds = 0.0;
   /// The committed output and user counters (the successful attempt's, or
-  /// the split-recovery merge's), delivered to the collector by FoldRound.
-  std::vector<Record> output;
+  /// the split recovery's), delivered to the collector by FoldRound.
+  std::vector<ShuffleSegment> output;
   CounterMap custom_counters;
   /// Reduce-side spill and fetch accounting of every attempt.
   ShuffleCounters shuffle_counters;
@@ -566,20 +562,26 @@ void PlaceReduceTasks(RoundState& round) {
 /// transient failure: the attempt dies after inject->fail_after_items
 /// groups, or before Finish if the input runs out first. Output and
 /// counters reach `out` and `counters` only if the whole attempt succeeds.
-/// `expected_outputs` (0 if unknown) pre-sizes the output buffer.
+/// With `merge_out` (a split recovery leaf), the outputs of the groups
+/// whose keys are in `spread_keys` (ascending), and Finish's, go there.
 Status RunReducer(const RoundState& round, int p, int machine,
                   const ReducerFactory& factory, GroupedRecordStream* stream,
-                  const TaskFault* inject, size_t expected_outputs,
-                  std::vector<Record>* out, CounterMap* counters) {
+                  const TaskFault* inject, std::vector<ShuffleSegment>* out,
+                  CounterMap* counters,
+                  std::vector<ShuffleSegment>* merge_out = nullptr,
+                  const std::vector<std::string>& spread_keys = {}) {
   std::unique_ptr<Reducer> reducer = factory();
   if (reducer == nullptr) return Status::Internal("reducer factory failed");
   SPCUBE_RETURN_IF_ERROR(reducer->Setup(round.Task(machine, p)));
-  EngineReduceContext context(expected_outputs);
+  EngineReduceContext context;
   std::string key;
+  auto spread = spread_keys.begin();
   int64_t groups = 0;
   for (;;) {
     SPCUBE_ASSIGN_OR_RETURN(bool more, stream->NextGroup(&key));
     if (!more) break;
+    while (spread != spread_keys.end() && *spread < key) ++spread;
+    context.RouteToMerge(spread != spread_keys.end() && *spread == key);
     GroupValueStream values(stream);
     SPCUBE_RETURN_IF_ERROR(reducer->Reduce(key, values, context));
     ++groups;
@@ -590,8 +592,10 @@ Status RunReducer(const RoundState& round, int p, int machine,
   if (inject != nullptr) {
     return Status::IoError("injected reduce task failure (at finish)");
   }
+  // Finish's outputs belong to no group, so a leaf merges them.
+  context.RouteToMerge(merge_out != nullptr);
   SPCUBE_RETURN_IF_ERROR(reducer->Finish(context));
-  context.CommitTo(out, counters);
+  context.CommitTo(out, merge_out, counters);
   return Status::OK();
 }
 
@@ -599,16 +603,15 @@ Status RunReducer(const RoundState& round, int p, int machine,
 /// `input` under `budget`; on a strict OOM splits it into sub-partitions
 /// (SplitReduceInput; recursively, up to max_split_depth) and reduces each.
 /// Degradation cost (one backoff per split plus the re-scatter transfer) is
-/// charged to `state`. A call at depth > 0 appends its leaves' partial
-/// outputs to `out` (its caller's vector), in leaf (DFS) order; only the
-/// depth-0 call merges, once, over every leaf's partials with the job's
-/// merge reducer — exact only under the RecoverySpec contract (unique
-/// output keys per group, associative merge closed over final values) —
-/// and appends the merged output to `out`. An input that fits at depth 0
-/// is reduced straight into `out`.
+/// charged to `state`. Every output lands in `state->output` except those
+/// of spread groups (`input.spread_keys`), the only ones whose keys can
+/// repeat (RecoverySpec): a call at depth > 0 appends them to
+/// `merge_input`, in leaf (DFS) order, and the depth-0 call merges them
+/// once, even when none exist, with the job's merge reducer.
 Status ReduceWithSplit(const RoundState& round, int p, int machine,
                        const ReduceInput& input, int64_t budget, int depth,
-                       ReduceTaskState* state, std::vector<Record>* out) {
+                       ReduceTaskState* state,
+                       std::vector<ShuffleSegment>* merge_input) {
   const JobSpec& spec = round.spec;
   const std::string resource_prefix =
       "recover/j" + std::to_string(round.job_id) + "/red" +
@@ -619,8 +622,8 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
       &state->shuffle_counters, round.plan, resource_prefix);
   if (stream.ok()) {
     return RunReducer(round, p, machine, spec.reducer_factory, stream->get(),
-                      /*inject=*/nullptr, /*expected_outputs=*/0, out,
-                      &state->custom_counters);
+                      /*inject=*/nullptr, &state->output,
+                      &state->custom_counters, merge_input, input.spread_keys);
   }
   if (!stream.status().IsResourceExhausted()) return stream.status();
   if (depth >= spec.recovery.max_split_depth) {
@@ -655,8 +658,9 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
   state->penalty_seconds += charge;
   state->recovery_seconds += charge;
 
-  std::vector<Record> leaf_partials;
-  std::vector<Record>* partials = depth == 0 ? &leaf_partials : out;
+  ReduceInput merge_round;  // depth 0: the spread groups' partials
+  std::vector<ShuffleSegment>* partials =
+      depth == 0 ? &merge_round.memory_segments : merge_input;
   Status sub_status = Status::OK();
   for (const ReduceInput& sub : subs) {
     if (sub.total_records == 0) continue;
@@ -670,16 +674,17 @@ Status ReduceWithSplit(const RoundState& round, int p, int machine,
   SPCUBE_RETURN_IF_ERROR(sub_status);
   if (depth > 0) return Status::OK();
 
-  // The one merge round: every leaf's partial outputs re-group by key and
-  // the merge reducer restores the unsplit values. Within a key, values
-  // arrive in leaf order, so merge input order (and thus any
-  // floating-point evaluation order) is deterministic. Output keys are
-  // unique per group (the RecoverySpec contract), so the merge emits at
-  // most one record per group.
-  SortedRecordStream merge_input(leaf_partials);
+  // The one merge round: the spread groups' partials re-group by key in the
+  // shuffle's in-memory stream (no budget: they are in memory already) and
+  // the merge reducer restores the unsplit values. A key's values arrive in
+  // leaf order, so any floating-point evaluation order is deterministic.
+  auto merge = MakeGroupedStream(
+      std::move(merge_round), std::numeric_limits<int64_t>::max(),
+      MemoryPolicy::kStrict, round.temp_files, /*counters=*/nullptr);
+  if (!merge.ok()) return merge.status();
   return RunReducer(round, p, machine, spec.recovery.merge_reducer_factory,
-                    &merge_input, /*inject=*/nullptr, merge_input.num_groups(),
-                    out, &state->custom_counters);
+                    merge->get(), /*inject=*/nullptr, &state->output,
+                    &state->custom_counters);
 }
 
 /// Runs reduce partition `p` to completion (with retries and, when the job
@@ -727,8 +732,7 @@ Status ReducePartition(RoundState& round, int p) {
         stream.ok()
             ? RunReducer(round, p, machine, spec.reducer_factory,
                          stream->get(), inject_failure ? &fault : nullptr,
-                         /*expected_outputs=*/0, &state.output,
-                         &state.custom_counters)
+                         &state.output, &state.custom_counters)
             : stream.status();
     if (last_error.ok()) {
       succeeded = true;
@@ -738,7 +742,8 @@ Status ReducePartition(RoundState& round, int p) {
         // sub-partitions, merge — committed exactly like a normal
         // successful attempt.
         last_error = ReduceWithSplit(round, p, machine, input, attempt_budget,
-                                     /*depth=*/0, &state, &state.output);
+                                     /*depth=*/0, &state,
+                                     /*merge_input=*/nullptr);
         if (!last_error.ok()) break;
         succeeded = true;
       } else if (budget_factor < 1.0 && attempt + 1 < round.max_attempts) {
@@ -822,7 +827,10 @@ Status FoldRound(RoundState& round, OutputCollector* collector) {
     metrics.recovery_seconds += state.recovery_seconds;
     shuffle += state.shuffle_counters;
     AddCounters(state.custom_counters, &metrics.custom_counters);
-    const auto produced = static_cast<int64_t>(state.output.size());
+    int64_t produced = 0;
+    for (const ShuffleSegment& segment : state.output) {
+      produced += segment.num_records();
+    }
     metrics.reducer_output_records[static_cast<size_t>(p)] = produced;
     metrics.output_records += produced;
   }
@@ -836,11 +844,13 @@ Status FoldRound(RoundState& round, OutputCollector* collector) {
   if (collector == nullptr) return Status::OK();
   collector->Reserve(metrics.output_records);
   for (int p = 0; p < round.num_reducers; ++p) {
-    // Moved out so each partition's records are freed once delivered.
-    const std::vector<Record> output =
+    // Moved out so each partition's arenas are freed once delivered.
+    const std::vector<ShuffleSegment> output =
         std::move(round.reduce_tasks[static_cast<size_t>(p)].output);
-    for (const Record& record : output) {
-      SPCUBE_RETURN_IF_ERROR(collector->Collect(p, record.key, record.value));
+    for (const ShuffleSegment& segment : output) {
+      for (const ShuffleRecordRef& ref : segment.refs()) {
+        SPCUBE_RETURN_IF_ERROR(collector->Collect(p, ref.key(), ref.value()));
+      }
     }
   }
   return Status::OK();

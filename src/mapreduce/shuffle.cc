@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -253,11 +254,10 @@ void AppendSegmentEntries(const std::vector<ShuffleSegment>& segments,
   }
 }
 
-/// Reads one sorted run into `arena`, decoding each fetched block's key
-/// deltas incrementally, and appends a ref per record to `entries`.
+/// Reads one sorted run into `out`, decoding each fetched block's key
+/// deltas incrementally.
 Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
-                 int64_t* mismatch_counter, Arena* arena,
-                 std::vector<ShuffleRecordRef>* entries) {
+                 int64_t* mismatch_counter, SegmentBuilder* out) {
   SpillReader reader(run.path(), run.offset, run.file_bytes);
   SPCUBE_RETURN_IF_ERROR(reader.Open());
   reader.SetFaultInjection(injector, mismatch_counter, run.resource);
@@ -272,10 +272,7 @@ Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
       std::string_view value;
       SPCUBE_ASSIGN_OR_RETURN(bool record, decoder.Next(&key, &value));
       if (!record) break;
-      const char* data = arena->AppendPair(key, value);
-      entries->push_back(ShuffleRecordRef{
-          data, data + key.size(), static_cast<uint32_t>(key.size()),
-          static_cast<uint32_t>(value.size())});
+      out->Add(key, value);
     }
   }
   return Status::OK();
@@ -429,17 +426,33 @@ Status ShuffleBuffer::FoldIntoKey(PartitionState* part, std::string_view key,
   return Status::OK();
 }
 
+ShuffleSegment::ShuffleSegment(Arena arena, std::vector<ShuffleRecordRef> refs,
+                               int64_t payload_bytes) {
+  auto rep = std::make_shared<Rep>();
+  rep->arena = std::move(arena);  // the refs keep pointing into it
+  rep->refs = std::move(refs);
+  rep->payload_bytes = payload_bytes;
+  rep->generation = rep->arena.generation();
+  rep_ = std::move(rep);
+}
+
+ShuffleSegment SegmentBuilder::Finish() {
+  ShuffleSegment segment(std::move(arena_), std::move(refs_), payload_bytes_);
+  refs_.clear();
+  payload_bytes_ = 0;
+  return segment;
+}
+
 ShuffleSegment ShuffleBuffer::TakeMemorySegment(int partition) {
   PartitionState& part = partitions_[static_cast<size_t>(partition)];
-  ShuffleSegment segment;
-  auto rep = std::make_shared<ShuffleSegment::Rep>();
-  AppendRecordRefs(part, &rep->refs);
-  for (const ShuffleRecordRef& ref : rep->refs) {
-    rep->payload_bytes += RecordBytes(ref.key(), ref.value());
+  std::vector<ShuffleRecordRef> refs;
+  AppendRecordRefs(part, &refs);
+  int64_t payload_bytes = 0;
+  for (const ShuffleRecordRef& ref : refs) {
+    payload_bytes += RecordBytes(ref.key(), ref.value());
   }
-  rep->arena = std::move(part.arena);  // the refs keep pointing into it
-  rep->generation = rep->arena.generation();
-  segment.rep_ = std::move(rep);
+  ShuffleSegment segment(std::move(part.arena), std::move(refs),
+                         payload_bytes);
   ResetPartition(&part);
   return segment;
 }
@@ -536,25 +549,13 @@ Status ShuffleBuffer::SpillAll() {
 
 namespace {
 
-/// Fully in-memory grouped stream: iterates record refs (owned Records,
-/// arena-backed segments, and absorbed runs parsed into a private arena)
-/// through a sorted index — no per-record Record materialization.
+/// Fully in-memory grouped stream: iterates the records of arena-backed
+/// segments through a sorted index — no per-record Record materialization.
 class InMemoryGroupedStream : public GroupedRecordStream {
  public:
   explicit InMemoryGroupedStream(std::vector<ShuffleSegment> segments)
       : segments_(std::move(segments)) {
     AppendSegmentEntries(segments_, &entries_);
-  }
-
-  /// Reads one sorted run into the stream-private arena. Call before Seal.
-  Status AbsorbRun(const RunInfo& run, IoFaultInjector* injector,
-                   int64_t* mismatch_counter) {
-    return spcube::AbsorbRun(run, injector, mismatch_counter, &absorbed_,
-                             &entries_);
-  }
-
-  /// Builds the sorted iteration order; call once after the last AbsorbRun.
-  void Seal() {
     std::vector<ShuffleSortItem> scratch;
     SortRefs(entries_, &order_, &scratch);
   }
@@ -585,9 +586,8 @@ class InMemoryGroupedStream : public GroupedRecordStream {
     return entries_[order_[sorted_pos].index].key();
   }
 
-  std::vector<ShuffleSegment> segments_; // owns bytes for map-side segments
-  Arena absorbed_;                       // owns bytes for absorbed runs
-  // spcube-analyzer: allow(view-escape): entries_ point into segments_/absorbed_, both owned by this same stream
+  std::vector<ShuffleSegment> segments_;  // owns the bytes
+  // spcube-analyzer: allow(view-escape): entries_ point into segments_, owned by this same stream
   std::vector<ShuffleRecordRef> entries_;
   std::vector<ShuffleSortItem> order_;
   size_t pos_ = 0;
@@ -737,44 +737,6 @@ class MergingGroupedStream : public GroupedRecordStream {
 
 }  // namespace
 
-SortedRecordStream::SortedRecordStream(const std::vector<Record>& records)
-    : records_(records) {
-  std::vector<ShuffleSortItem> items;
-  {
-    std::vector<ShuffleSortItem> scratch;
-    SortByKey(
-        records_.size(),
-        [this](size_t i) -> const std::string& { return records_[i].key; },
-        &items, &scratch);
-  }
-  order_.reserve(items.size());
-  for (const ShuffleSortItem& item : items) {
-    const std::string& key = records_[item.index].key;
-    if (order_.empty() || key != KeyAt(order_.size() - 1)) ++num_groups_;
-    order_.push_back(item.index);
-  }
-}
-
-Result<bool> SortedRecordStream::NextGroup(std::string* key) {
-  const size_t pos = group_end_;
-  if (pos >= order_.size()) return false;
-  const std::string& group = KeyAt(pos);
-  key->assign(group);
-  group_end_ = pos + 1;
-  while (group_end_ < order_.size() && KeyAt(group_end_) == group) {
-    ++group_end_;
-  }
-  value_pos_ = pos;
-  return true;
-}
-
-Result<bool> SortedRecordStream::NextValue(std::string* value) {
-  if (value_pos_ >= group_end_) return false;
-  value->assign(records_[order_[value_pos_]].value);
-  ++value_pos_;
-  return true;
-}
-
 Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
     ReduceInput input, int64_t memory_budget_bytes, MemoryPolicy policy,
     TempFileManager* temp_files, ShuffleCounters* counters,
@@ -789,16 +751,17 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
         std::to_string(memory_budget_bytes) + " bytes");
   }
   if (fits) {
-    // Small enough to run in memory; absorb any runs into the stream's
-    // private arena and sort everything together.
-    auto stream = std::make_unique<InMemoryGroupedStream>(
-        std::move(input.memory_segments));
+    // Small enough to run in memory; absorb any runs into one more
+    // segment, after the others, and sort everything together.
+    SegmentBuilder absorbed;
     for (const RunInfo& run : input.spill_runs) {
       SPCUBE_RETURN_IF_ERROR(
-          stream->AbsorbRun(run, injector, mismatch_counter));
+          AbsorbRun(run, injector, mismatch_counter, &absorbed));
     }
-    stream->Seal();
-    return {std::unique_ptr<GroupedRecordStream>(std::move(stream))};
+    input.memory_segments.push_back(absorbed.Finish());
+    return {std::unique_ptr<GroupedRecordStream>(
+        std::make_unique<InMemoryGroupedStream>(
+            std::move(input.memory_segments)))};
   }
 
   // External path: sort the in-memory part into one more run, then merge.
@@ -831,16 +794,18 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
   int64_t* mismatch_counter =
       counters != nullptr ? &counters->checksum_mismatches : nullptr;
   // Gather every record as refs: in-memory sources directly, spill runs
-  // parsed into a local arena. Segments, then runs, in their stored order:
+  // parsed into one more segment. Segments, then runs, in stored order:
   // the sort below is stable, so a record's rank within its group (which
   // decides where a spread group's record goes) depends only on the input.
-  std::vector<ShuffleRecordRef> entries;
-  Arena absorbed;
-  AppendSegmentEntries(input.memory_segments, &entries);
+  std::vector<ShuffleSegment> sources = input.memory_segments;
+  SegmentBuilder absorbed;
   for (const RunInfo& run : input.spill_runs) {
     SPCUBE_RETURN_IF_ERROR(
-        AbsorbRun(run, injector, mismatch_counter, &absorbed, &entries));
+        AbsorbRun(run, injector, mismatch_counter, &absorbed));
   }
+  sources.push_back(absorbed.Finish());
+  std::vector<ShuffleRecordRef> entries;
+  AppendSegmentEntries(sources, &entries);
   std::vector<ShuffleSortItem> order;
   {
     std::vector<ShuffleSortItem> scratch;
@@ -863,6 +828,7 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
   const int64_t spread_above = budget / fanout;
   std::vector<Group> groups;
   std::vector<size_t> whole;  // indices into `groups`
+  std::vector<std::string> spread_keys;  // in key order, like `groups`
   std::vector<int64_t> loads(static_cast<size_t>(fanout), 0);
   for (size_t begin = 0; begin < order.size();) {
     const std::string_view key = ref_at(begin).key();
@@ -873,6 +839,7 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
       group.bytes += RecordBytes(ref.key(), ref.value());
     }
     if (group.bytes > spread_above) {
+      spread_keys.emplace_back(key);
       for (size_t pos = group.begin; pos < group.end; ++pos) {
         const ShuffleRecordRef& ref = ref_at(pos);
         loads[(pos - group.begin) % static_cast<size_t>(fanout)] +=
@@ -910,6 +877,11 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
       sub_orders[sub].push_back(order[pos]);
     }
   }
+  // Sub-inputs inherit the keys spread above them.
+  std::vector<std::string> inherited;
+  std::set_union(input.spread_keys.begin(), input.spread_keys.end(),
+                 spread_keys.begin(), spread_keys.end(),
+                 std::back_inserter(inherited));
   // One sorted run per sub-input, all in one file: the result must not
   // reference `input`'s arenas (the OOMed attempt's storage is reclaimed
   // before the sub-attempts run), and runs keep the "each sorted by key"
@@ -930,6 +902,7 @@ Result<std::vector<ReduceInput>> SplitReduceInput(
     sub.total_bytes = run.payload_bytes;
     sub.total_records = run.records;
     sub.spill_runs.push_back(std::move(run));
+    sub.spread_keys = inherited;
   }
   SPCUBE_RETURN_IF_ERROR(out.Close());
   return subs;

@@ -205,10 +205,11 @@ struct ShuffleSortItem {
   uint32_t index = 0;
 };
 
-/// An immutable batch of map-output records backed by the arena they were
-/// emitted into: the zero-copy hand-off from ShuffleBuffer to the reduce
-/// side. Cheap to copy (shared ownership) so a ReduceInput holding segments
-/// stays copyable for reduce-attempt retries.
+/// An immutable batch of records backed by an arena the segment owns: the
+/// zero-copy hand-off from ShuffleBuffer to the reduce side, and a reduce
+/// attempt's committed output (SegmentBuilder). Cheap to copy (shared
+/// ownership) so a ReduceInput holding segments stays copyable for
+/// reduce-attempt retries.
 class ShuffleSegment {
  public:
   ShuffleSegment() = default;
@@ -234,7 +235,12 @@ class ShuffleSegment {
 
  private:
   friend class ShuffleBuffer;
+  friend class SegmentBuilder;
   friend void internal::DebugExpireSegment(ShuffleSegment* segment);
+
+  /// Takes `arena` together with `refs`, which point into it.
+  ShuffleSegment(Arena arena, std::vector<ShuffleRecordRef> refs,
+                 int64_t payload_bytes);
 
   struct Rep {
     Arena arena;  // owns the bytes the refs point into
@@ -247,6 +253,32 @@ class ShuffleSegment {
   };
 
   std::shared_ptr<const Rep> rep_;
+};
+
+/// Builds a ShuffleSegment record by record, copying each pair into an
+/// arena the segment takes over: a reduce attempt's commit buffer. Output
+/// costs a bump append and a ref per record, and a heap allocation per
+/// arena chunk, not per record. Finish leaves the builder empty.
+class SegmentBuilder {
+ public:
+  void Add(std::string_view key, std::string_view value) {
+    const char* data = arena_.AppendPair(key, value);
+    refs_.push_back(ShuffleRecordRef{data, data + key.size(),
+                                     static_cast<uint32_t>(key.size()),
+                                     static_cast<uint32_t>(value.size())});
+    payload_bytes_ += RecordBytes(key, value);
+  }
+
+  int64_t num_records() const { return static_cast<int64_t>(refs_.size()); }
+
+  /// Hands the records built so far off as one segment.
+  ShuffleSegment Finish();
+
+ private:
+  Arena arena_;
+  // spcube-analyzer: allow(view-escape): refs point into arena_, which Finish moves into the segment together with them
+  std::vector<ShuffleRecordRef> refs_;
+  int64_t payload_bytes_ = 0;
 };
 
 /// Map-side output buffer of one map task — the Hadoop sort-and-spill
@@ -402,35 +434,6 @@ class GroupedRecordStream {
   virtual Result<bool> NextValue(std::string* value) = 0;
 };
 
-/// Groups owned records by key: split recovery's merge round (engine.cc)
-/// reads every leaf's partial outputs through it. Iterates `records` in
-/// the shuffle's radix key sort order, (full key, index) — keys in
-/// std::string order, equal keys in `records` order — without moving a
-/// record. `records` must outlive the stream and stay unmodified.
-class SortedRecordStream : public GroupedRecordStream {
- public:
-  explicit SortedRecordStream(const std::vector<Record>& records);
-
-  Result<bool> NextGroup(std::string* key) override;
-  Result<bool> NextValue(std::string* value) override;
-
-  /// Distinct keys among `records`.
-  size_t num_groups() const { return num_groups_; }
-
- private:
-  const std::string& KeyAt(size_t sorted_pos) const {
-    return records_[order_[sorted_pos]].key;
-  }
-
-  const std::vector<Record>& records_;
-  /// Record indices in sorted order: the sort's items minus their key
-  /// prefixes, a quarter of their size while the merge reducer runs.
-  std::vector<uint32_t> order_;
-  size_t num_groups_ = 0;
-  size_t group_end_ = 0;
-  size_t value_pos_ = 0;
-};
-
 /// Inputs for building a reduce-side stream. `memory_segments` are unsorted
 /// in-memory sources.
 struct ReduceInput {
@@ -438,6 +441,10 @@ struct ReduceInput {
   std::vector<RunInfo> spill_runs;  // each sorted by key
   int64_t total_bytes = 0;          // payload bytes across all sources
   int64_t total_records = 0;
+  /// Keys of the groups split recovery dealt over several sub-inputs, at
+  /// this sub-input's depth or above, in ascending order; empty for a
+  /// partition's own input (SplitReduceInput).
+  std::vector<std::string> spread_keys;
 };
 
 /// Builds a stream over `input`. If everything fits in
@@ -466,16 +473,18 @@ Result<std::unique_ptr<GroupedRecordStream>> MakeGroupedStream(
 /// sub-input, largest group first (ties in key order). No sub-input then
 /// holds more than total/fanout + (budget/fanout)(1 - 1/fanout) bytes,
 /// plus one record per spread group when its records have equal sizes
-/// (docs/INTERNALS.md §11). Each sub-input is written as a single sorted
-/// run, all `fanout` of them byte ranges of one file under `temp_files` (so
-/// the result holds no references into `input`'s arenas — split sub-inputs
-/// outlive the attempt that OOMed), accounted to `counters->spill_bytes`,
-/// and named `<resource_prefix>/s<k>` for fault injection. The file is
-/// deleted when the last sub-input's run is released. Spill
-/// runs in `input` are re-read through `injector` (may be null) with
-/// checksum recovery, like any reduce-side fetch. Deterministic: the same
-/// input records in the same source order give the same scatter,
-/// regardless of threading.
+/// (docs/INTERNALS.md §11). Every sub-input's `spread_keys` are `input`'s
+/// plus the keys of the groups this split deals out: under the RecoverySpec
+/// contract only those groups' outputs can repeat a key across sub-inputs.
+/// Each sub-input is written as a single sorted run, all `fanout` of them
+/// byte ranges of one file under `temp_files` (so the result holds no
+/// references into `input`'s arenas — split sub-inputs outlive the attempt
+/// that OOMed), accounted to `counters->spill_bytes`, and named
+/// `<resource_prefix>/s<k>` for fault injection. The file is deleted when
+/// the last sub-input's run is released. Spill runs in `input` are re-read
+/// through `injector` (may be null) with checksum recovery, like any
+/// reduce-side fetch. Deterministic: the same input records in the same
+/// source order give the same scatter, regardless of threading.
 Result<std::vector<ReduceInput>> SplitReduceInput(
     const ReduceInput& input, int fanout, int64_t budget,
     TempFileManager* temp_files, ShuffleCounters* counters,

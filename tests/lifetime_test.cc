@@ -9,6 +9,8 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/lifetime.h"
@@ -105,6 +107,49 @@ TEST(ShuffleSegmentLifetimeDeathTest, StaleSegmentReadAborts) {
   ShuffleSegment segment = TakeOneRecordSegment(&counters);
   // Correct code cannot make a segment stale (it owns its arena), so the
   // test seam manufactures the state the generation check guards against.
+  internal::DebugExpireSegment(&segment);
+  EXPECT_DEATH((void)segment.refs(), "stale ShuffleSegment");
+}
+
+TEST(SegmentBuilderTest, FinishHandsOffRefsPayloadAndGeneration) {
+  SegmentBuilder builder;
+  EXPECT_TRUE(builder.Finish().empty());
+  // Enough records to fill several arena chunks, values of 0-6 bytes.
+  std::vector<std::pair<std::string, std::string>> expected;
+  int64_t payload_bytes = 0;
+  for (int i = 0; i < 10000; ++i) {
+    expected.emplace_back("cell/" + std::to_string(i),
+                          std::string(static_cast<size_t>(i % 7), 'v'));
+    builder.Add(expected.back().first, expected.back().second);
+    payload_bytes +=
+        RecordBytes(expected.back().first, expected.back().second);
+  }
+  EXPECT_EQ(builder.num_records(), 10000);
+  const ShuffleSegment first = builder.Finish();
+  EXPECT_EQ(builder.num_records(), 0);
+  // The builder starts over on a fresh arena, whose generation the second
+  // segment stamps; refs() below verifies each stamp.
+  builder.Add("later", "x");
+  const ShuffleSegment second = builder.Finish();
+  builder.Add("unfinished", "y");
+
+  ASSERT_EQ(first.num_records(), 10000);
+  EXPECT_EQ(first.payload_bytes(), payload_bytes);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const ShuffleRecordRef& ref = first.refs()[i];
+    ASSERT_EQ(ref.key(), expected[i].first);
+    ASSERT_EQ(ref.value(), expected[i].second);
+  }
+  ASSERT_EQ(second.num_records(), 1);
+  EXPECT_EQ(second.payload_bytes(), 6);
+  EXPECT_EQ(second.refs()[0].key(), "later");
+  EXPECT_EQ(second.refs()[0].value(), "x");
+}
+
+TEST(SegmentBuilderDeathTest, ExpiredBuiltSegmentReadAborts) {
+  SegmentBuilder builder;
+  builder.Add("key", "value");
+  ShuffleSegment segment = builder.Finish();
   internal::DebugExpireSegment(&segment);
   EXPECT_DEATH((void)segment.refs(), "stale ShuffleSegment");
 }

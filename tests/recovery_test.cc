@@ -10,12 +10,14 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "baselines/hive.h"
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "core/cube_output.h"
 #include "core/sp_cube.h"
 #include "cube/cube_result.h"
@@ -299,8 +301,8 @@ TEST(RecoveryTest, SplitKeepsSmallGroupsWhole) {
   // One hot token (2000 rows, ~4 KB of records) and 400 cold tokens of 3
   // rows each (15 bytes) under a 1 KB strict budget: every partition
   // splits, but only the hot group is too big for a fanout-2 sub-input's
-  // share of the budget. Each cold group lands whole in one leaf, so it
-  // reaches the merge as exactly one partial.
+  // share of the budget. Each cold group lands whole in one leaf, whose
+  // output is final, so it never reaches the merge.
   Relation rel(MakeAnonymousSchema(1));
   constexpr int64_t kHot = 7;
   for (int i = 0; i < 2000; ++i) rel.AppendRow(std::vector<int64_t>{kHot}, 1);
@@ -328,12 +330,142 @@ TEST(RecoveryTest, SplitKeepsSmallGroupsWhole) {
     for (int64_t token = 1000; token < 1400; ++token) {
       EXPECT_EQ(metrics->custom_counters["merge_values/" +
                                          std::to_string(token)],
-                1)
+                0)
           << "cold token " << token;
     }
     EXPECT_GT(metrics->custom_counters["merge_values/" + std::to_string(kHot)],
               1)
         << "the hot group was not spread";
+  }
+}
+
+/// Forwards to a reducer's context, counting its outputs per key:
+/// counter "leaf_outputs/<key>".
+class OutputCountingContext : public ReduceContext {
+ public:
+  explicit OutputCountingContext(ReduceContext& inner) : inner_(inner) {}
+
+  Status Output(std::string_view key, std::string_view value) override {
+    inner_.IncrementCounter("leaf_outputs/" + std::string(key), 1);
+    return inner_.Output(key, value);
+  }
+  void IncrementCounter(const std::string& name, int64_t delta) override {
+    inner_.IncrementCounter(name, delta);
+  }
+
+ private:
+  ReduceContext& inner_;
+};
+
+/// Wraps a job's reducer so every output it makes is counted per key.
+class OutputCountingReducer : public Reducer {
+ public:
+  explicit OutputCountingReducer(std::unique_ptr<Reducer> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Setup(const TaskContext& task) override {
+    return inner_->Setup(task);
+  }
+  Status Reduce(const std::string& key, ValueStream& values,
+                ReduceContext& context) override {
+    OutputCountingContext counted(context);
+    return inner_->Reduce(key, values, counted);
+  }
+  Status Finish(ReduceContext& context) override {
+    OutputCountingContext counted(context);
+    return inner_->Finish(counted);
+  }
+
+ private:
+  std::unique_ptr<Reducer> inner_;
+};
+
+TEST(RecoveryTest, SplitMergesOnlySpreadGroupsPartials) {
+  // A count cube over 1500 copies of one tuple plus 1500 uniform tuples of
+  // a 40x40 domain, under a 4 KB strict budget: every partition splits.
+  // The cells of the hot tuple hold ~1500-3000 records and are dealt over
+  // the leaves; the fine cells (a record or two) and the 40-value cells
+  // stay whole. A group's key is its output key, so a dealt-out group has
+  // one leaf output per leaf it reached, and a whole group exactly one.
+  Relation rel(MakeAnonymousSchema(2));
+  Rng rng(2024);
+  for (int i = 0; i < 1500; ++i) {
+    rel.AppendRow(std::vector<int64_t>{0, 0}, 1);
+    rel.AppendRow(std::vector<int64_t>{rng.NextInRange(1, 40),
+                                       rng.NextInRange(1, 40)},
+                  1);
+  }
+  const CubeResult reference = ComputeCubeReference(rel, AggregateKind::kCount);
+  EngineConfig config = TestConfig();
+  config.memory_budget_bytes = 4 << 10;
+  DistributedFileSystem dfs;
+  Engine engine(config, &dfs);
+
+  JobSpec spec;
+  spec.name = "split-cube";
+  spec.memory_policy = MemoryPolicy::kStrict;
+  spec.mapper_factory = [] { return std::make_unique<ProjectAllMapper>(); };
+  spec.recovery = MakeCubeRecoverySpec(AggregateKind::kCount, 1);
+  spec.reducer_factory = [merge = spec.recovery.merge_reducer_factory]() {
+    return std::make_unique<OutputCountingReducer>(merge());
+  };
+  spec.recovery.merge_reducer_factory =
+      [merge = spec.recovery.merge_reducer_factory]() {
+        return std::make_unique<CountingMergeReducer>(
+            std::make_unique<ValueCountingMergeReducer>(merge()));
+      };
+  CubeCollector collector(CubeRunOptions{}, &dfs, rel.num_dims());
+  auto metrics = engine.Run(spec, rel, &collector);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  const std::unique_ptr<CubeResult> cube = collector.TakeCube();
+  ASSERT_NE(cube, nullptr);
+  std::string diff;
+  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *cube, 1e-9, &diff)) << diff;
+  EXPECT_EQ(metrics->reduce_partitions_split, config.num_workers);
+  EXPECT_EQ(metrics->custom_counters["merge_rounds"], config.num_workers);
+
+  // The merge's input is exactly the spread groups' leaf outputs.
+  std::map<std::string, int64_t> leaf_outputs;
+  std::map<std::string, int64_t> merge_values;
+  for (const auto& [name, value] : metrics->custom_counters) {
+    if (name.starts_with("leaf_outputs/")) {
+      leaf_outputs[name.substr(13)] = value;
+    } else if (name.starts_with("merge_values/")) {
+      merge_values[name.substr(13)] = value;
+    }
+  }
+  std::map<std::string, int64_t> spread_outputs;
+  for (const auto& [key, outputs] : leaf_outputs) {
+    if (outputs > 1) spread_outputs[key] = outputs;
+  }
+  EXPECT_EQ(merge_values, spread_outputs);
+  EXPECT_GE(spread_outputs.size(), 4u) << "the hot cells were not spread";
+  EXPECT_GT(leaf_outputs.size(), spread_outputs.size() + 1000);
+
+  // A split that spreads no group still runs its one merge, over nothing:
+  // 400 tokens of 15 bytes each overflow every 1 KB partition, but none
+  // exceeds a sub-input's 512-byte share.
+  Relation cold(MakeAnonymousSchema(1));
+  for (int64_t token = 1000; token < 1400; ++token) {
+    for (int r = 0; r < 3; ++r) cold.AppendRow(std::vector<int64_t>{token}, 1);
+  }
+  config.memory_budget_bytes = 1 << 10;
+  Engine cold_engine(config, &dfs);
+  JobSpec count = RecoverableCountSpec();
+  count.recovery.merge_reducer_factory = [] {
+    return std::make_unique<CountingMergeReducer>(
+        std::make_unique<ValueCountingMergeReducer>(
+            std::make_unique<SumReducer>()));
+  };
+  VectorOutputCollector counts;
+  auto cold_metrics = cold_engine.Run(count, cold, &counts);
+  ASSERT_TRUE(cold_metrics.ok()) << cold_metrics.status();
+  EXPECT_EQ(CollectorCounts(counts), DirectCounts(cold));
+  EXPECT_GT(cold_metrics->reduce_partitions_split, 0);
+  EXPECT_EQ(cold_metrics->custom_counters["merge_rounds"],
+            cold_metrics->reduce_partitions_split);
+  for (const auto& [name, value] : cold_metrics->custom_counters) {
+    EXPECT_FALSE(name.starts_with("merge_values/")) << name << "=" << value;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -281,6 +282,74 @@ TEST(ShuffleFastPathTest, SegmentOutlivesSourceBufferAcrossCombinePass) {
     EXPECT_TRUE(key.rfind("early_key_", 0) == 0) << key;
     EXPECT_EQ(value, "250");  // 2000 emits of "1" over 8 keys, summed
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reduce-side commit buffer.
+// ---------------------------------------------------------------------------
+
+class OneGroupMapper : public Mapper {
+ public:
+  Status Map(const RelationView& /*input*/, int64_t /*row*/,
+             MapContext& context) override {
+    return context.Emit("group", "1");
+  }
+};
+
+/// Outputs `outputs` cells per group: 24-byte keys (past std::string's
+/// inline capacity) and 8-byte values, formatted without allocating.
+class ManyOutputsReducer : public Reducer {
+ public:
+  explicit ManyOutputsReducer(int outputs) : outputs_(outputs) {}
+
+  Status Reduce(const std::string& /*key*/, ValueStream& /*values*/,
+                ReduceContext& context) override {
+    char key[32];
+    for (int i = 0; i < outputs_; ++i) {
+      const int len =
+          std::snprintf(key, sizeof(key), "reduce-output-cell-%06d", i);
+      SPCUBE_RETURN_IF_ERROR(context.Output(
+          std::string_view(key, static_cast<size_t>(len)), "8 bytes!"));
+    }
+    return Status::OK();
+  }
+
+ private:
+  int outputs_;
+};
+
+TEST(ShuffleFastPathTest, ReduceCommitAllocatesPerChunkNotPerRecord) {
+  // Identical serial jobs but for how many cells their one reduce group
+  // outputs: the extra allocations of the larger job are the commit
+  // buffer's. 20000 cells are ~640 KB of arena, ten 64 KiB chunks, plus
+  // the ref vector's doublings; a buffer of owned strings would allocate
+  // at least once per cell.
+  constexpr int kOutputs = 20000;
+  const Relation rel = GenUniform(8, 1, 2, /*seed=*/5);
+  auto count_run = [&rel](int outputs) {
+    EngineConfig config;
+    config.num_workers = 2;
+    config.network_bandwidth_bytes_per_sec = 0;
+    config.host_threads = 1;
+    DistributedFileSystem dfs;
+    Engine engine(config, &dfs);
+    JobSpec spec;
+    spec.mapper_factory = [] { return std::make_unique<OneGroupMapper>(); };
+    spec.reducer_factory = [outputs] {
+      return std::make_unique<ManyOutputsReducer>(outputs);
+    };
+    NullOutputCollector sink;
+    return CountAllocations([&] {
+      auto metrics = engine.Run(spec, rel, &sink);
+      ASSERT_TRUE(metrics.ok()) << metrics.status();
+      EXPECT_EQ(metrics->output_records, outputs);
+    });
+  };
+  count_run(kOutputs);  // warm-up: first-use statics
+  const int64_t baseline = count_run(0);
+  const int64_t committed = count_run(kOutputs);
+  EXPECT_LT(committed - baseline, 100)
+      << "reduce commit allocates per record, not per arena chunk";
 }
 
 // ---------------------------------------------------------------------------

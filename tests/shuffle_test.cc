@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -308,6 +309,25 @@ TEST(GroupedStreamTest, EmptyInput) {
   EXPECT_FALSE((*stream)->NextGroup(&key).value());
 }
 
+/// Split recovery's merge input over `records`: they are committed as
+/// reduce output segments of `per_leaf` records each (one per leaf, in leaf
+/// order) and grouped by the shuffle's in-memory stream, as engine.cc does.
+std::unique_ptr<GroupedRecordStream> MergeStream(
+    const std::vector<Record>& records, size_t per_leaf) {
+  ReduceInput input;
+  SegmentBuilder leaf;
+  for (size_t i = 0; i < records.size(); ++i) {
+    leaf.Add(records[i].key, records[i].value);
+    if ((i + 1) % per_leaf == 0) AddSegment(leaf.Finish(), &input);
+  }
+  AddSegment(leaf.Finish(), &input);
+  auto stream = MakeGroupedStream(std::move(input),
+                                  std::numeric_limits<int64_t>::max(),
+                                  MemoryPolicy::kStrict, nullptr, nullptr);
+  EXPECT_TRUE(stream.ok()) << stream.status();
+  return stream.ok() ? std::move(*stream) : nullptr;
+}
+
 TEST(SortedRecordStreamTest, GroupsInStringOrderAndKeepsRecordOrder) {
   using namespace std::string_literals;
   // Keys that tie on the zero-padded 8-byte sort prefix: "ab" vs "ab\0"
@@ -319,7 +339,10 @@ TEST(SortedRecordStreamTest, GroupsInStringOrderAndKeepsRecordOrder) {
       {"prefix12a", "4"}, {"ab\0"s, "5"},      {"ab", "6"},
       {"", "7"},          {"prefix12a", "8"}, {"ab", "9"},
   };
-  SortedRecordStream stream(records);
+  const std::unique_ptr<GroupedRecordStream> merge =
+      MergeStream(records, /*per_leaf=*/4);
+  ASSERT_NE(merge, nullptr);
+  GroupedRecordStream& stream = *merge;
   std::vector<std::pair<std::string, std::vector<std::string>>> groups;
   std::string key;
   std::string value;
@@ -348,7 +371,10 @@ TEST(SortedRecordStreamTest, GroupsInStringOrderAndKeepsRecordOrder) {
 
 TEST(SortedRecordStreamTest, NextGroupSkipsUnreadValues) {
   const std::vector<Record> records = {{"b", "9"}, {"a", "1"}, {"a", "2"}};
-  SortedRecordStream stream(records);
+  const std::unique_ptr<GroupedRecordStream> merge =
+      MergeStream(records, /*per_leaf=*/2);
+  ASSERT_NE(merge, nullptr);
+  GroupedRecordStream& stream = *merge;
   std::string key;
   ASSERT_TRUE(stream.NextGroup(&key).value());
   EXPECT_EQ(key, "a");
@@ -429,9 +455,6 @@ TEST(ShuffleSortTest, RadixKeySortEqualsStableSortByKey) {
         ASSERT_EQ(actual[i].value, expected[i].value) << "position " << i;
       }
     };
-
-    SortedRecordStream sorted(records);
-    same(DrainInOrder(sorted));
 
     // In memory: one unsorted segment, sorted by the reduce-side stream.
     TempFileManager temp("radix");
@@ -733,6 +756,20 @@ TEST(SplitReduceInputTest, SpreadsOnlyGroupsTooBigForASubInput) {
 
   // Deterministic: a second call writes identical runs.
   EXPECT_EQ(SplitRecords(input, kFanout, kBudget, &temp), subs);
+
+  // Every sub-input reports the spread group's key after the keys it
+  // inherits, in ascending order.
+  ReduceInput nested = input;
+  nested.spread_keys = {"cold0", "zz"};
+  ShuffleCounters split_counters;
+  auto split = SplitReduceInput(nested, kFanout, kBudget, &temp,
+                                &split_counters, /*injector=*/nullptr,
+                                "split");
+  ASSERT_TRUE(split.ok()) << split.status();
+  for (const ReduceInput& sub : *split) {
+    EXPECT_EQ(sub.spread_keys,
+              (std::vector<std::string>{"cold0", "hot", "zz"}));
+  }
 }
 
 // ---- Checksums and attempt-private file lifetime ---------------------------

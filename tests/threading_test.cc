@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/hive.h"
@@ -254,10 +256,13 @@ struct DeterminismProbe {
   std::unique_ptr<CubeResult> cube;
   std::string metrics_fp;
   std::string dfs_fp;
+  int64_t partitions_split = 0;
 };
 
-Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
-                                  const Config& config, const Relation& rel,
+using CubeRunFn =
+    std::function<Result<CubeRunOutput>(Engine&, const CubeRunOptions&)>;
+
+Result<DeterminismProbe> RunProbe(const CubeRunFn& run, const Config& config,
                                   int host_threads, FaultConfig* chaos) {
   EngineConfig cluster = MakeCluster(config, host_threads);
   FaultPlan plan(chaos != nullptr ? *chaos : FaultConfig{});
@@ -271,7 +276,7 @@ Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
   CubeRunOptions options;
   options.aggregate = static_cast<AggregateKind>(config.aggregate);
   options.dfs_output_root = "determinism/cube";
-  auto output = algorithm->Run(engine, rel, options);
+  auto output = run(engine, options);
   if (!output.ok()) return output.status();
   // The run is over: read the cube back without chaos so the fingerprint
   // reflects the committed bytes, not the test's own injected read luck.
@@ -280,7 +285,18 @@ Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
   probe.cube = std::move(output->cube);
   probe.metrics_fp = ModeledMetricsFingerprint(output->metrics);
   probe.dfs_fp = DfsCubeFingerprint(dfs, options.dfs_output_root);
+  probe.partitions_split = output->metrics.ReducePartitionsSplit();
   return probe;
+}
+
+Result<DeterminismProbe> RunProbe(CubeAlgorithm* algorithm,
+                                  const Config& config, const Relation& rel,
+                                  int host_threads, FaultConfig* chaos) {
+  return RunProbe(
+      [algorithm, &rel](Engine& engine, const CubeRunOptions& options) {
+        return algorithm->Run(engine, rel, options);
+      },
+      config, host_threads, chaos);
 }
 
 /// Same seed, same config: serial and work-stealing pool runs must agree
@@ -374,6 +390,62 @@ TEST(ThreadedDeterminismTest, CompressedStorageIsScheduleAndModelInvisible) {
         << mode << ": DFS bytes diverged";
     EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
         << mode << ": modeled metrics diverged";
+  }
+}
+
+/// Split recovery under the probe: SP-Cube with a stale drift sketch and
+/// strict reducer memory, and Hive with opt-in split recovery, overflow
+/// partitions that split, recursively, and merge. A split partition's part
+/// files hold its whole groups' outputs in leaf order, then the merged
+/// keys; a threaded run must write the same bytes and model the same
+/// metrics as a serial one.
+TEST(ThreadedDeterminismTest, SplitRecoveryOutputIsScheduleInvisible) {
+  Config config{};
+  config.workers = 4;
+  config.budget_shift = 2;  // 16 KB reducer memory
+  config.aggregate = 0;     // count: mergeable, so recovery is allowed
+
+  DriftSpec drift;
+  drift.num_batches = 3;
+  drift.start_exponent = 0.3;
+  drift.end_exponent = 1.5;
+  drift.churn_period = 1;
+  drift.churn_step = 311;
+  const Relation old_batch = GenDriftBatch(drift, 0, 4000, 2026);
+  const Relation new_batch = GenDriftBatch(drift, 2, 4000, 2026);
+  const Relation binomial = GenBinomial(4000, 3, 0.5, 301);
+
+  SpCubeOptions sp_options;
+  sp_options.strict_reducer_memory = true;
+  SpCubeAlgorithm sp(sp_options);
+  HiveCubeOptions hive_options;
+  hive_options.strict_reducer_memory = true;
+  hive_options.allow_split_recovery = true;
+  HiveCubeAlgorithm hive(hive_options);
+  const std::vector<std::pair<std::string, CubeRunFn>> runs = {
+      {"spcube-stale-sketch",
+       [&](Engine& engine, const CubeRunOptions& options) {
+         return sp.RunWithSketchFrom(engine, old_batch, new_batch, options);
+       }},
+      {"hive-split-recovery",
+       [&](Engine& engine, const CubeRunOptions& options) {
+         return hive.Run(engine, binomial, options);
+       }},
+  };
+  for (const auto& [name, run] : runs) {
+    auto serial = RunProbe(run, config, /*host_threads=*/1, nullptr);
+    ASSERT_TRUE(serial.ok()) << name << ": " << serial.status();
+    EXPECT_GT(serial->partitions_split, 0) << name << ": nothing split";
+    auto pooled = RunProbe(run, config, /*host_threads=*/4, nullptr);
+    ASSERT_TRUE(pooled.ok()) << name << ": " << pooled.status();
+    std::string diff;
+    EXPECT_TRUE(CubeResult::ApproxEqual(*serial->cube, *pooled->cube,
+                                        /*tolerance=*/0.0, &diff))
+        << name << ": cube diverged:\n"
+        << diff;
+    EXPECT_EQ(serial->dfs_fp, pooled->dfs_fp) << name << ": DFS bytes diverged";
+    EXPECT_EQ(serial->metrics_fp, pooled->metrics_fp)
+        << name << ": modeled metrics diverged";
   }
 }
 

@@ -6,27 +6,16 @@
 // Each variant stays exact (verified by the test suite); the benchmark
 // shows what each idea buys in traffic, balance and time.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <vector>
 
 #include "bench_util.h"
 #include "core/sp_cube.h"
-#include "cube/group_key.h"
-#include "layout_baseline.h"
 #include "relation/generators.h"
 
 using namespace spcube;
 namespace bench = spcube::bench;
 
 namespace {
-
-struct VariantResult {
-  const char* name;
-  bench::AlgoResult result;
-};
 
 bench::AlgoResult RunVariant(const Relation& rel, int k,
                              const SpCubeOptions& options) {
@@ -50,60 +39,6 @@ void PrintRow(const char* name, const bench::AlgoResult& r,
               bench::FormatBytes(r.shuffle_bytes).c_str(),
               r.reducer_imbalance,
               bench::FormatBytes(r.sketch_bytes).c_str());
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-/// Extra ablation axis (--layout): the data layout itself. Races the
-/// round-2 mapper's lattice projection loop over the seed's row-major
-/// layout + heap-allocated keys against the columnar Relation + inline
-/// GroupKey. Wall-clock is fine here — this is a host-side code race,
-/// not a simulated cluster metric.
-void RunLayoutAxis(const Relation& rel) {
-  const bench::RowMajorRelation rm = bench::RowMajorRelation::FromRelation(rel);
-  const CuboidMask num_masks =
-      static_cast<CuboidMask>(NumCuboids(rel.num_dims()));
-  const int64_t walk_rows = std::min<int64_t>(rel.num_rows(), 20000);
-
-  volatile uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  uint64_t sum = 0;
-  for (int64_t r = 0; r < walk_rows; ++r) {
-    const std::span<const int64_t> tuple = rm.row(r);
-    for (CuboidMask mask = 0; mask < num_masks; ++mask) {
-      const bench::HeapGroupKey key = bench::HeapProject(mask, tuple);
-      sum += key.values.size();
-    }
-  }
-  sink = sum;
-  const auto t1 = std::chrono::steady_clock::now();
-  sum = 0;
-  for (int64_t r = 0; r < walk_rows; ++r) {
-    const Relation::RowRef tuple = rel.row(r);
-    for (CuboidMask mask = 0; mask < num_masks; ++mask) {
-      sum += GroupKey::Project(mask, tuple).values.size();
-    }
-  }
-  sink = sum;
-  (void)sink;
-  const auto t2 = std::chrono::steady_clock::now();
-
-  const double row_major_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const double columnar_ms =
-      std::chrono::duration<double, std::milli>(t2 - t1).count();
-  std::printf(
-      "\nLayout axis (lattice projection, %lld rows x %d cuboids):\n"
-      "%-22s %10.2f ms\n%-22s %10.2f ms   (%.2fx)\n",
-      static_cast<long long>(walk_rows), static_cast<int>(num_masks),
-      "row-major + heap key", row_major_ms, "columnar + inline key",
-      columnar_ms, row_major_ms / columnar_ms);
-  std::printf("(bench_layout has the full layout study and JSON output.)\n");
 }
 
 }  // namespace
@@ -148,8 +83,6 @@ int main(int argc, char** argv) {
     std::snprintf(name, sizeof(name), "alpha x %.2f", multiplier);
     PrintRow(name, RunVariant(rel, k, options), audit);
   }
-
-  if (HasFlag(argc, argv, "--layout")) RunLayoutAxis(rel);
 
   std::printf(
       "\nShape to match: dropping mapper skew aggregation inflates "

@@ -1,33 +1,26 @@
-// Shuffle fast-path microbenchmarks: the seed's string-based map-side
-// buffer (bench/shuffle_baseline.h) versus the arena-backed ShuffleBuffer
-// across its three hot paths —
+// Shuffle fast-path microbenchmarks: the arena-backed map-side
+// ShuffleBuffer across its hot paths —
 //
 //   emit          Add only: route M pre-encoded records into 4 partitions
-//                 under a budget nothing overflows. The baseline pays two
-//                 std::string constructions per record; the arena path
-//                 bump-copies into per-partition chunks.
+//                 under a budget nothing overflows; records bump-copy into
+//                 per-partition arena chunks.
 //   emit-combine  Add + combine cycles: 256 distinct keys under a budget
 //                 that repeatedly overflows into combine passes (and never
-//                 spills). The baseline rebuilds an unordered_map of owned
-//                 strings per pass; the arena path deduplicates through its
-//                 incremental key index and compacts survivors.
+//                 spills). Keys deduplicate through the incremental key
+//                 index and survivors compact in place.
 //   spill-sort    Add + sort + spill: distinct keys under a small budget so
-//                 every overflow stable-sorts the buffer and streams a
-//                 CRC32C run file. Both sides do identical disk I/O; the
-//                 difference is Record sorting + per-record re-encoding
-//                 versus the slot-index radix sort over arena bytes.
+//                 every overflow radix-sorts the buffer's slot index and
+//                 streams a CRC32C delta-coded run file.
 //   spill-sort-cube
 //                 spill-sort over SP-Cube-shaped keys: GroupKey encodings
 //                 (varint mask, varint arity, zig-zag values) whose leading
 //                 values have few distinct values, so most keys tie on
 //                 their first 8 bytes and the sort must look further in.
 //
-// Wall-clock timing is host-side and legitimate here: these race two code
-// paths on identical in-memory inputs, no simulated cluster involved.
-// Results go to stdout and, with --emit-json=<path>, to a JSON file
-// matching the tools/validate_bench_json.py schema. Allocation
-// columns count global operator new calls per rep (reported per record in
-// the JSON).
+// Wall-clock timing is host-side and legitimate here: no simulated cluster
+// is involved. Results go to stdout and, with --emit-json=<path>, to a JSON
+// file matching the tools/validate_bench_json.py schema. The allocation
+// column counts global operator new calls per rep, per record.
 
 #include <algorithm>
 #include <atomic>
@@ -35,7 +28,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <new>
 #include <string>
@@ -49,7 +41,6 @@
 #include "io/spill.h"
 #include "mapreduce/api.h"
 #include "mapreduce/shuffle.h"
-#include "shuffle_baseline.h"
 
 // --- allocation counter (mirrors tests/layout_test.cc) ---------------------
 
@@ -125,24 +116,20 @@ Measurement Measure(int reps, Fn&& fn) {
 
 struct BenchRow {
   const char* name;
-  Measurement baseline;
-  Measurement arena;
-  // Spill-run footprints of one rep (identical across reps: the schedule is
-  // deterministic). The baseline writes legacy [len][key][len][value]
-  // payloads; the arena path writes delta/varint runs (docs/INTERNALS.md
-  // §13).
-  int64_t baseline_spill_bytes = 0;
-  int64_t arena_spill_bytes = 0;
+  Measurement measured;
+  // Spill-run bytes of one rep (identical across reps: the schedule is
+  // deterministic).
+  int64_t spill_bytes = 0;
 };
 
+double PerRecord(int64_t count, int64_t records) {
+  return static_cast<double>(count) / static_cast<double>(records);
+}
+
 void PrintRow(const BenchRow& row, int64_t records) {
-  std::printf("%-16s %12.2f %12.2f %9.2fx %13.3f %13.3f\n", row.name,
-              row.baseline.millis, row.arena.millis,
-              row.baseline.millis / row.arena.millis,
-              static_cast<double>(row.baseline.allocs) /
-                  static_cast<double>(records),
-              static_cast<double>(row.arena.allocs) /
-                  static_cast<double>(records));
+  std::printf("%-16s %12.2f %13.3f %14lld\n", row.name, row.measured.millis,
+              PerRecord(row.measured.allocs, records),
+              static_cast<long long>(row.spill_bytes));
 }
 
 void WriteJson(const std::string& path, int64_t records,
@@ -154,21 +141,10 @@ void WriteJson(const std::string& path, int64_t records,
   for (size_t i = 0; i < table.size(); ++i) {
     const BenchRow& r = table[i];
     out << "    {\"name\": \"" << r.name << "\", "
-        << "\"baseline_ms\": " << r.baseline.millis << ", "
-        << "\"arena_ms\": " << r.arena.millis << ", "
-        << "\"speedup\": " << r.baseline.millis / r.arena.millis << ", "
-        << "\"baseline_allocs_per_record\": "
-        << static_cast<double>(r.baseline.allocs) /
-               static_cast<double>(records)
-        << ", "
-        << "\"arena_allocs_per_record\": "
-        << static_cast<double>(r.arena.allocs) /
-               static_cast<double>(records);
-    if (r.arena_spill_bytes > 0) {
-      out << ", \"baseline_bytes_spilled\": " << r.baseline_spill_bytes
-          << ", \"bytes_spilled_compressed\": " << r.arena_spill_bytes;
-    }
-    out << "}" << (i + 1 < table.size() ? "," : "") << "\n";
+        << "\"ms\": " << r.measured.millis << ", "
+        << "\"allocs_per_record\": " << PerRecord(r.measured.allocs, records)
+        << ", \"spill_bytes\": " << r.spill_bytes << "}"
+        << (i + 1 < table.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -229,8 +205,7 @@ std::vector<EmitInput> MakeCubeInputs(int64_t count, int num_partitions,
   return inputs;
 }
 
-/// Sums decimal-string values (the combiner of the shuffle unit tests);
-/// identical work on both sides of the race.
+/// Sums decimal-string values (the combiner of the shuffle unit tests).
 class SumCombiner : public Combiner {
  public:
   Status Fold(std::string_view acc, std::string_view value,
@@ -246,36 +221,21 @@ class SumCombiner : public Combiner {
   }
 };
 
-/// Drives `buffer` over `inputs` and finalizes; aborts on error (benchmark
-/// inputs cannot legitimately fail).
-template <typename Buffer>
-void Drive(Buffer& buffer, const std::vector<EmitInput>& inputs) {
-  for (const EmitInput& in : inputs) {
-    const Status status = buffer.Add(in.partition, in.key, in.value);
-    if (!status.ok()) std::abort();
-  }
-  if (!buffer.FinalizeMapOutput().ok()) std::abort();
-}
-
-BenchRow RaceScenario(const char* name, const std::vector<EmitInput>& inputs,
-                      int num_partitions, int64_t budget,
-                      const Combiner* combiner, TempFileManager* temp,
-                      int reps) {
-  BenchRow row{name, {}, {}};
-  row.baseline = Measure(reps, [&] {
-    ShuffleCounters counters;
-    bench::StringShuffleBuffer buffer(num_partitions, budget, combiner, temp,
-                                      &counters);
-    Drive(buffer, inputs);
-    row.baseline_spill_bytes = counters.spill_bytes;
-    g_sink = static_cast<uint64_t>(counters.map_output_bytes +
-                                   counters.spill_bytes);
-  });
-  row.arena = Measure(reps, [&] {
+/// Drives a fresh ShuffleBuffer over `inputs` `reps` times and finalizes;
+/// aborts on error (benchmark inputs cannot legitimately fail).
+BenchRow RunScenario(const char* name, const std::vector<EmitInput>& inputs,
+                     int num_partitions, int64_t budget,
+                     const Combiner* combiner, TempFileManager* temp,
+                     int reps) {
+  BenchRow row{name, {}};
+  row.measured = Measure(reps, [&] {
     ShuffleCounters counters;
     ShuffleBuffer buffer(num_partitions, budget, combiner, temp, &counters);
-    Drive(buffer, inputs);
-    row.arena_spill_bytes = counters.spill_bytes;
+    for (const EmitInput& in : inputs) {
+      if (!buffer.Add(in.partition, in.key, in.value).ok()) std::abort();
+    }
+    if (!buffer.FinalizeMapOutput().ok()) std::abort();
+    row.spill_bytes = counters.spill_bytes;
     g_sink = static_cast<uint64_t>(counters.map_output_bytes +
                                    counters.spill_bytes);
   });
@@ -295,16 +255,16 @@ int main(int argc, char** argv) {
   std::printf("Shuffle microbenchmarks | records=%lld, partitions=%d, "
               "best of %d\n",
               static_cast<long long>(n), partitions, reps);
-  std::printf("%-16s %12s %12s %9s %13s %13s\n", "hot path", "string-ms",
-              "arena-ms", "speedup", "str-allocs/r", "arena-allocs/r");
+  std::printf("%-16s %12s %13s %14s\n", "hot path", "ms", "allocs/rec",
+              "spill-bytes");
 
   std::vector<BenchRow> table;
   {
     // Emit only: wide key space, nothing overflows.
     const auto inputs = MakeInputs(n, /*key_space=*/1 << 20, partitions, 11);
-    table.push_back(RaceScenario("emit", inputs, partitions,
-                                 /*budget=*/int64_t{1} << 40, nullptr, &temp,
-                                 reps));
+    table.push_back(RunScenario("emit", inputs, partitions,
+                                /*budget=*/int64_t{1} << 40, nullptr, &temp,
+                                reps));
     PrintRow(table.back(), n);
   }
   {
@@ -312,29 +272,25 @@ int main(int argc, char** argv) {
     // passes every few thousand records and never spills.
     const auto inputs = MakeInputs(n, /*key_space=*/256, partitions, 12);
     SumCombiner combiner;
-    table.push_back(RaceScenario("emit-combine", inputs, partitions,
-                                 /*budget=*/64 << 10, &combiner, &temp,
-                                 reps));
+    table.push_back(RunScenario("emit-combine", inputs, partitions,
+                                /*budget=*/64 << 10, &combiner, &temp,
+                                reps));
     PrintRow(table.back(), n);
   }
   {
     // Spill path: distinct keys, no combiner — every overflow sorts the
-    // buffer and writes a checksummed run (identical I/O both sides).
+    // buffer and writes a checksummed run.
     const auto inputs = MakeInputs(n, /*key_space=*/1 << 20, partitions, 13);
-    table.push_back(RaceScenario("spill-sort", inputs, partitions,
-                                 /*budget=*/256 << 10, nullptr, &temp,
-                                 reps));
+    table.push_back(RunScenario("spill-sort", inputs, partitions,
+                                /*budget=*/256 << 10, nullptr, &temp,
+                                reps));
     PrintRow(table.back(), n);
-    const BenchRow& row = table.back();
-    std::printf("  spill runs: legacy %lld B -> delta %lld B\n",
-                static_cast<long long>(row.baseline_spill_bytes),
-                static_cast<long long>(row.arena_spill_bytes));
   }
   {
     // Spill path over cube keys that mostly tie on their first 8 bytes.
     const auto inputs = MakeCubeInputs(n, partitions, 14);
-    table.push_back(RaceScenario("spill-sort-cube", inputs, partitions,
-                                 /*budget=*/64 << 10, nullptr, &temp, reps));
+    table.push_back(RunScenario("spill-sort-cube", inputs, partitions,
+                                /*budget=*/64 << 10, nullptr, &temp, reps));
     PrintRow(table.back(), n);
   }
 
@@ -343,9 +299,8 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   std::printf(
-      "\nShape to match: emit and emit-combine favor the arena path well "
-      "past the 1.5x gate (no per-record strings, no per-pass hash map "
-      "rebuild; arena allocs/record ~0 at steady state); spill-sort "
-      "improves less because both sides share the run-file I/O.\n");
+      "\nShape to match: allocs/record ~0 on every row at steady state (no "
+      "per-record strings, no per-pass hash map rebuild); the spill rows "
+      "pay sort + run-file I/O on top of emit.\n");
   return 0;
 }

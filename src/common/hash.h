@@ -77,11 +77,14 @@ inline uint32_t LoadLe32(const unsigned char* p) {
 /// Software slicing-by-8 (eight table lookups per eight input bytes, ~5x
 /// the byte-at-a-time loop), so no platform intrinsics are required; the
 /// value is the standard CRC32C, identical to the byte-at-a-time result.
-inline uint32_t Crc32c(std::string_view bytes) {
+/// `crc` continues a checksum already taken over a prefix:
+/// Crc32c(b, Crc32c(a)) == Crc32c(a + b), so an appended blob re-checksums
+/// only its new bytes.
+inline uint32_t Crc32c(std::string_view bytes, uint32_t crc = 0) {
   const auto& t = internal::kCrc32cTables;
   const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
   size_t n = bytes.size();
-  uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = crc ^ internal::LoadLe32(p);
     const uint32_t hi = internal::LoadLe32(p + 4);

@@ -42,8 +42,8 @@ Status DistributedFileSystem::Append(const std::string& path,
                                      std::string_view contents) {
   MutexLock lock(&mu_);
   Blob& blob = files_[path];
+  blob.crc = Crc32c(contents, blob.crc);
   blob.data.append(contents);
-  blob.crc = Crc32c(blob.data);
   return Status::OK();
 }
 

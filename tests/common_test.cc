@@ -393,15 +393,23 @@ TEST(HashTest, Crc32cKnownAnswer) {
 
 TEST(HashTest, Crc32cSlicedEqualsBytewiseReference) {
   // Every length from 0 to 300 (all tail lengths around the 8-byte
-  // stride) at every start offset mod 8, over seeded random bytes.
+  // stride) at every start offset mod 8, over seeded random bytes; each
+  // string is also checksummed in two chained parts at every split point.
   Rng rng(3720);
   std::string buffer(300 + 8, '\0');
   for (char& c : buffer) c = static_cast<char>(rng.NextBounded(256));
   for (size_t start = 0; start < 8; ++start) {
     for (size_t len = 0; len <= 300; ++len) {
       const std::string_view bytes(buffer.data() + start, len);
-      ASSERT_EQ(Crc32c(bytes), BitwiseCrc32c(bytes))
+      const uint32_t whole = Crc32c(bytes);
+      ASSERT_EQ(whole, BitwiseCrc32c(bytes))
           << "start " << start << " length " << len;
+      // Continuing from a prefix's CRC equals the CRC of the whole.
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32c(bytes.substr(split), Crc32c(bytes.substr(0, split))),
+                  whole)
+            << "start " << start << " length " << len << " split " << split;
+      }
     }
   }
 }

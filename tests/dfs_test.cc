@@ -41,6 +41,7 @@ TEST(DfsTest, AppendCreatesAndExtends) {
   ASSERT_TRUE(dfs.Append("log", "a").ok());
   ASSERT_TRUE(dfs.Append("log", "b").ok());
   EXPECT_EQ(dfs.Read("log").value(), "ab");
+  EXPECT_TRUE(dfs.VerifyChecksum("log").ok());
 }
 
 TEST(DfsTest, ListAndTotalsByPrefix) {

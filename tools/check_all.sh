@@ -57,11 +57,9 @@ build_and_test() {
 
 # Filled in by bench_json_smoke from the threaded figure-bench run; echoed
 # next to the summary table so the wall-clock effect of the default
-# multicore path is visible in every full run. The compression line does
-# the same for the spill codec (docs/INTERNALS.md §13), and the
-# determinism line for the model-purity rule family (§14).
+# multicore path is visible in every full run. The determinism line does
+# the same for the model-purity rule family (docs/INTERNALS.md §14).
 threading_speedup_line=""
-compression_line=""
 determinism_line=""
 
 # Per-rule finding counts for the determinism & model-purity family
@@ -81,41 +79,21 @@ bench_json_smoke() {
   local out="build/bench_smoke.json"
   local faults_out="build/bench_faults_smoke.json"
   local fig_out="build/bench_fig7_threads_smoke.json"
-  local compression_out="build/bench_compression_smoke.json"
   ./build/bench/bench_shuffle --scale=0.05 --emit-json="${out}" \
     >/dev/null &&
     python3 tools/validate_bench_json.py "${out}" &&
     ./build/bench/bench_faults --scale=0.1 --emit-json="${faults_out}" \
       >/dev/null &&
     python3 tools/validate_bench_json.py "${faults_out}" &&
-    ./build/bench/bench_compression --scale=0.1 \
-      --emit-json="${compression_out}" >/dev/null &&
-    python3 tools/validate_bench_json.py "${compression_out}" &&
-    ./build/bench/bench_fig7_zipf --scale=0.05 --threads=2 \
+    ./build/bench/bench_paper --figure=7 --scale=0.05 --threads=2 \
       --emit-json="${fig_out}" >/dev/null &&
     python3 tools/validate_bench_json.py "${fig_out}" &&
     python3 tools/validate_bench_json.py BENCH_*.json || return 1
-  # Measured spill-byte reduction of the delta/varint run codec against
-  # the legacy fixed-frame format on the headline Zipf stream
-  # (bench_compression races only the spill codec and exits nonzero itself
-  # when it loses wall-clock or the spill-reduction gate fails).
-  compression_line=$(python3 - "${compression_out}" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for r in doc["results"]:
-    if r["name"] == "spill/zipf-groups":
-        print("spill-byte reduction (zipf groups, delta codec): "
-              "%.2fx (%d B -> %d B)"
-              % (r["reduction"], r["bytes_spilled_uncompressed"],
-                 r["bytes_spilled_compressed"]))
-        break
-EOF
-  )
   # Measured wall-clock speedup of the 2-thread run over a serial rerun of
   # the same sweep (sp-cube rows only). Informational: on a single-core
   # host this is expectedly <= 1x.
   local serial_out="build/bench_fig7_serial_smoke.json"
-  ./build/bench/bench_fig7_zipf --scale=0.05 --threads=1 \
+  ./build/bench/bench_paper --figure=7 --scale=0.05 --threads=1 \
     --emit-json="${serial_out}" >/dev/null || return 1
   threading_speedup_line=$(python3 - "${serial_out}" "${fig_out}" <<'EOF'
 import json, sys
@@ -187,9 +165,6 @@ for i in "${!stage_names[@]}"; do
 done
 if [[ -n "${threading_speedup_line}" ]]; then
   echo "${threading_speedup_line}"
-fi
-if [[ -n "${compression_line}" ]]; then
-  echo "${compression_line}"
 fi
 if [[ -n "${determinism_line}" ]]; then
   echo "${determinism_line}"

@@ -4,13 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <numeric>
-
 #include "common/random.h"
 #include "cube/buc.h"
 #include "cube/cube_result.h"
 #include "cube/group_key.h"
-#include "cube/pipesort.h"
 #include "io/spill.h"
 #include "relation/generators.h"
 #include "sketch/builder.h"
@@ -74,26 +71,6 @@ void BM_BucFullCube(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BucFullCube)
-    ->Args({5000, 3})
-    ->Args({5000, 5})
-    ->Args({20000, 4});
-
-void BM_PipeSortFullCube(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int d = static_cast<int>(state.range(1));
-  Relation rel = GenUniform(n, d, 50, 3);
-  const Aggregator& agg = GetAggregator(AggregateKind::kCount);
-  for (auto _ : state) {
-    int64_t groups = 0;
-    PipeSortComputeFull(rel, agg,
-                        [&groups](const GroupKey&, const AggState&) {
-                          ++groups;
-                        });
-    benchmark::DoNotOptimize(groups);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PipeSortFullCube)
     ->Args({5000, 3})
     ->Args({5000, 5})
     ->Args({20000, 4});

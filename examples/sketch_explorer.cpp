@@ -10,10 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/random.h"
 #include "relation/generators.h"
 #include "sketch/builder.h"
-#include "sketch/cardinality.h"
 
 using namespace spcube;
 
@@ -91,26 +89,6 @@ int main(int argc, char** argv) {
               owner == kNoOwner
                   ? "(none: every sub-group is skewed)"
                   : MaskToString(owner, rel.num_dims()).c_str());
-
-  // Bonus: estimate the cube's size from the same kind of sample (GEE).
-  {
-    Rng rng(config.seed + 1);
-    const double alpha = config.SampleAlpha(rows);
-    Relation sample(MakeAnonymousSchema(rel.num_dims()));
-    for (int64_t r = 0; r < rel.num_rows(); ++r) {
-      if (rng.NextBernoulli(alpha)) {
-        sample.AppendRow(rel.row(r), rel.measure(r));
-      }
-    }
-    auto estimate = EstimateCubeCardinality(sample, alpha);
-    if (estimate.ok()) {
-      std::printf("\nEstimated cube size (GEE over the sample): ~%lld "
-                  "c-groups; e.g. cuboid %s holds ~%lld groups.\n",
-                  static_cast<long long>(estimate->TotalGroups()),
-                  MaskToString(0b0011, rel.num_dims()).c_str(),
-                  static_cast<long long>(estimate->per_cuboid[0b0011]));
-    }
-  }
 
   const std::string serialized = sketch->Serialize();
   std::printf("\nSerialized sketch: %zu bytes (input: %lld bytes; ratio "

@@ -510,7 +510,6 @@ void AssembleShuffle(RoundState& round) {
     metrics.reducer_wire_bytes[static_cast<size_t>(p)] = wire_bytes;
     metrics.shuffle_records += in.total_records;
     metrics.shuffle_bytes += in.total_bytes;
-    metrics.shuffle_bytes_compressed += wire_bytes;
   }
   // Transfer time charges the bytes that actually move: the bottleneck
   // reducer's wire bytes at the modeled bandwidth.

@@ -51,7 +51,6 @@ int64_t JobMetrics::MaxReducerInputBytes() const {
 }
 
 int64_t JobMetrics::MaxReducerWireBytes() const {
-  if (reducer_wire_bytes.empty()) return MaxReducerInputBytes();
   return *std::max_element(reducer_wire_bytes.begin(),
                            reducer_wire_bytes.end());
 }
@@ -86,7 +85,9 @@ std::string JobMetrics::ToString() const {
   std::string out = buf;
   if (spill_bytes > 0) {
     std::snprintf(buf, sizeof(buf), " wire=%lld B",
-                  static_cast<long long>(shuffle_bytes_compressed));
+                  static_cast<long long>(std::accumulate(
+                      reducer_wire_bytes.begin(), reducer_wire_bytes.end(),
+                      int64_t{0})));
     out += buf;
   }
   if (task_retries > 0 || workers_crashed > 0 ||
@@ -163,14 +164,6 @@ int64_t RunMetrics::MapOutputBytes() const {
 int64_t RunMetrics::ShuffleBytes() const {
   int64_t total = 0;
   for (const JobMetrics& round : rounds) total += round.shuffle_bytes;
-  return total;
-}
-
-int64_t RunMetrics::ShuffleBytesCompressed() const {
-  int64_t total = 0;
-  for (const JobMetrics& round : rounds) {
-    total += round.shuffle_bytes_compressed;
-  }
   return total;
 }
 

@@ -48,16 +48,14 @@ struct JobMetrics {
   /// These are the bytes actually on disk — delta/varint-encoded per
   /// docs/INTERNALS.md §13.
   int64_t spill_bytes = 0;
-  /// Bytes that actually cross the (simulated) wire per reducer: in-memory
-  /// segment payloads plus the on-disk (compressed) bytes of spilled runs.
-  /// shuffle_bytes/reducer_input_bytes stay payload-denominated so record
-  /// accounting and scheduling are encoding-independent.
-  int64_t shuffle_bytes_compressed = 0;
 
   std::vector<int64_t> reducer_input_records;
   std::vector<int64_t> reducer_input_bytes;
-  /// Per-reducer wire bytes (segment payloads + spilled-run file bytes);
-  /// the bottleneck entry drives shuffle_seconds.
+  /// Bytes that actually cross the (simulated) wire per reducer: in-memory
+  /// segment payloads plus the on-disk (compressed) bytes of spilled runs;
+  /// the bottleneck entry drives shuffle_seconds. shuffle_bytes and
+  /// reducer_input_bytes stay payload-denominated so record accounting and
+  /// scheduling are encoding-independent.
   std::vector<int64_t> reducer_wire_bytes;
   std::vector<int64_t> reducer_output_records;
 
@@ -114,8 +112,7 @@ struct JobMetrics {
 
   int64_t MaxReducerInputRecords() const;
   int64_t MaxReducerInputBytes() const;
-  /// Bottleneck reducer's inbound wire bytes (falls back to
-  /// MaxReducerInputBytes() when reducer_wire_bytes was never populated).
+  /// Bottleneck reducer's inbound wire bytes.
   int64_t MaxReducerWireBytes() const;
 
   /// Ratio of the most-loaded to the average-loaded reducer input (1.0 is
@@ -140,7 +137,6 @@ struct RunMetrics {
   double AvgReduceSeconds() const;
   int64_t MapOutputBytes() const;
   int64_t ShuffleBytes() const;
-  int64_t ShuffleBytesCompressed() const;
   int64_t SpillBytes() const;
   int64_t OutputRecords() const;
 

@@ -5,31 +5,18 @@
 #include "common/logging.h"
 
 namespace spcube {
-namespace {
-
-bool CellKeyLess(const CubeCell& a, const CubeCell& b) {
-  return a.key.values < b.key.values;
-}
-
-}  // namespace
 
 CubeStore::CubeStore(const CubeResult& cube)
-    : num_dims_(cube.num_dims()),
-      cuboids_(static_cast<size_t>(NumCuboids(cube.num_dims()))) {
+    : cuboids_(static_cast<size_t>(NumCuboids(cube.num_dims()))) {
   for (const auto& [key, value] : cube.groups()) {
     cuboids_[key.mask].push_back(CubeCell{key, value});
   }
   for (std::vector<CubeCell>& cells : cuboids_) {
-    std::sort(cells.begin(), cells.end(), CellKeyLess);
+    std::sort(cells.begin(), cells.end(),
+              [](const CubeCell& a, const CubeCell& b) {
+                return a.key.values < b.key.values;
+              });
   }
-}
-
-int64_t CubeStore::num_cells() const {
-  int64_t total = 0;
-  for (const std::vector<CubeCell>& cells : cuboids_) {
-    total += static_cast<int64_t>(cells.size());
-  }
-  return total;
 }
 
 const std::vector<CubeCell>& CubeStore::Cuboid(CuboidMask mask) const {
@@ -37,86 +24,10 @@ const std::vector<CubeCell>& CubeStore::Cuboid(CuboidMask mask) const {
   return cuboids_[mask];
 }
 
-Result<double> CubeStore::Value(const GroupKey& key) const {
-  if (key.mask >= cuboids_.size()) {
-    return Status::InvalidArgument("cuboid mask out of range");
-  }
-  const std::vector<CubeCell>& cells = cuboids_[key.mask];
-  const CubeCell probe{key, 0.0};
-  const auto it =
-      std::lower_bound(cells.begin(), cells.end(), probe, CellKeyLess);
-  if (it == cells.end() || !(it->key == key)) {
-    return Status::NotFound("no such cell: " + key.ToString(num_dims_));
-  }
-  return it->value;
-}
-
-std::vector<int64_t> CubeStore::Expand(const GroupKey& key) const {
-  std::vector<int64_t> expanded(static_cast<size_t>(num_dims_), 0);
-  size_t vi = 0;
-  for (int d = 0; d < num_dims_; ++d) {
-    if ((key.mask >> d) & 1) {
-      expanded[static_cast<size_t>(d)] = key.values[vi++];
-    }
-  }
-  return expanded;
-}
-
-Result<std::vector<CubeCell>> CubeStore::Slice(const GroupKey& fixed,
-                                               CuboidMask group_by) const {
-  if ((fixed.mask & group_by) != 0) {
-    return Status::InvalidArgument(
-        "group-by dimensions must be disjoint from the fixed ones");
-  }
-  const CuboidMask target = fixed.mask | group_by;
-  if (target >= cuboids_.size()) {
-    return Status::InvalidArgument("dimensions out of range");
-  }
-  const std::vector<CubeCell>& cells = cuboids_[target];
-  std::vector<CubeCell> out;
-
-  // Fast path: every fixed dimension precedes every group-by dimension, so
-  // the fixed values are a prefix of the sorted value vectors and the
-  // matching cells form one contiguous range.
-  const bool prefix =
-      group_by == 0 ||
-      fixed.mask < (group_by & (~group_by + 1));  // all fixed bits lower
-  if (prefix && fixed.mask != 0) {
-    const auto lower = std::lower_bound(
-        cells.begin(), cells.end(), fixed.values,
-        [](const CubeCell& cell, const GroupValues& probe) {
-          return std::lexicographical_compare(
-              cell.key.values.begin(),
-              cell.key.values.begin() +
-                  static_cast<ptrdiff_t>(probe.size()),
-              probe.begin(), probe.end());
-        });
-    for (auto it = lower; it != cells.end(); ++it) {
-      if (!std::equal(fixed.values.begin(), fixed.values.end(),
-                      it->key.values.begin())) {
-        break;
-      }
-      out.push_back(*it);
-    }
-    return out;
-  }
-
-  // General path: filter the cuboid on the fixed coordinates.
-  for (const CubeCell& cell : cells) {
-    if (CompareTupleToKey(fixed.mask, Expand(cell.key), fixed) == 0) {
-      out.push_back(cell);
-    }
-  }
-  return out;
-}
-
-std::vector<CubeCell> CubeStore::TopK(CuboidMask mask, size_t k,
-                                      bool largest) const {
+std::vector<CubeCell> CubeStore::TopK(CuboidMask mask, size_t k) const {
   std::vector<CubeCell> cells = Cuboid(mask);
-  const auto by_value = [largest](const CubeCell& a, const CubeCell& b) {
-    if (a.value != b.value) {
-      return largest ? a.value > b.value : a.value < b.value;
-    }
+  const auto by_value = [](const CubeCell& a, const CubeCell& b) {
+    if (a.value != b.value) return a.value > b.value;
     return a.key.values < b.key.values;  // deterministic ties
   };
   if (k < cells.size()) {
@@ -128,46 +39,6 @@ std::vector<CubeCell> CubeStore::TopK(CuboidMask mask, size_t k,
     std::sort(cells.begin(), cells.end(), by_value);
   }
   return cells;
-}
-
-Result<std::vector<CubeCell>> CubeStore::RollUp(const GroupKey& key) const {
-  if (key.mask == 0) {
-    return Status::InvalidArgument("the apex cell cannot be rolled up");
-  }
-  const std::vector<int64_t> expanded = Expand(key);
-  std::vector<CubeCell> out;
-  for (CuboidMask coarser : ImmediateDescendants(key.mask)) {
-    GroupKey coarser_key = GroupKey::Project(coarser, expanded);
-    SPCUBE_ASSIGN_OR_RETURN(double value, Value(coarser_key));
-    out.push_back(CubeCell{std::move(coarser_key), value});
-  }
-  return out;
-}
-
-Result<std::vector<CubeCell>> CubeStore::DrillDown(const GroupKey& key,
-                                                   int dim) const {
-  if (dim < 0 || dim >= num_dims_) {
-    return Status::InvalidArgument("dimension out of range");
-  }
-  const CuboidMask bit = CuboidMask{1} << dim;
-  if ((key.mask & bit) != 0) {
-    return Status::InvalidArgument(
-        "cell already fixes the drill-down dimension");
-  }
-  SPCUBE_ASSIGN_OR_RETURN(std::vector<CubeCell> refined,
-                          Slice(key, /*group_by=*/bit));
-  std::sort(refined.begin(), refined.end(),
-            [this, dim](const CubeCell& a, const CubeCell& b) {
-              return Expand(a.key)[static_cast<size_t>(dim)] <
-                     Expand(b.key)[static_cast<size_t>(dim)];
-            });
-  return refined;
-}
-
-double CubeStore::CuboidTotal(CuboidMask mask) const {
-  double total = 0.0;
-  for (const CubeCell& cell : Cuboid(mask)) total += cell.value;
-  return total;
 }
 
 }  // namespace spcube

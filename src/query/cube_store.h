@@ -1,11 +1,9 @@
 #ifndef SPCUBE_QUERY_CUBE_STORE_H_
 #define SPCUBE_QUERY_CUBE_STORE_H_
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
 #include <vector>
 
-#include "common/status.h"
 #include "cube/cube_result.h"
 #include "cube/group_key.h"
 
@@ -15,65 +13,24 @@ namespace spcube {
 struct CubeCell {
   GroupKey key;
   double value = 0.0;
-
-  friend bool operator==(const CubeCell& a, const CubeCell& b) {
-    return a.key == b.key && a.value == b.value;
-  }
 };
 
-/// Immutable, indexed view over a materialized cube for OLAP navigation —
-/// the layer an analyst (the paper's §1 scenario) actually touches once
-/// SP-Cube has produced the cube. Cells are bucketed per cuboid and sorted
-/// lexicographically, so point lookups and prefix slices are logarithmic.
-///
-/// Terminology follows Gray et al.: *slice* fixes some dimensions and
-/// groups by others; *roll-up* moves to a coarser cuboid (dropping a
-/// dimension); *drill-down* refines a cell along an added dimension.
+/// A materialized cube's cells, bucketed per cuboid and sorted
+/// lexicographically — the order in which `spcube_cli` writes cuboid files
+/// and picks top-k cells.
 class CubeStore {
  public:
   /// Indexes a materialized cube (copies its cells; the source may die).
   explicit CubeStore(const CubeResult& cube);
 
-  int num_dims() const { return num_dims_; }
-  int64_t num_cells() const;
-
   /// All cells of one cuboid, sorted lexicographically by value vector.
   const std::vector<CubeCell>& Cuboid(CuboidMask mask) const;
 
-  /// Point lookup of one group's aggregate.
-  Result<double> Value(const GroupKey& key) const;
-
-  /// Dice: the cells of cuboid (fixed.mask | group_by) whose coordinates on
-  /// `fixed.mask` equal `fixed.values` — i.e. "fix city=Rome, group by
-  /// year". `group_by` must be disjoint from `fixed.mask`. When the fixed
-  /// dimensions precede every group-by dimension, the scan is a binary-
-  /// searched contiguous range; otherwise it filters the cuboid.
-  Result<std::vector<CubeCell>> Slice(const GroupKey& fixed,
-                                      CuboidMask group_by) const;
-
-  /// The `k` largest (or smallest) cells of a cuboid by aggregate value.
-  std::vector<CubeCell> TopK(CuboidMask mask, size_t k,
-                             bool largest = true) const;
-
-  /// Roll-up: the coarser cells obtained by dropping one dimension of
-  /// `key` at a time (its immediate descendants in the paper's lattice
-  /// orientation), in dimension order.
-  Result<std::vector<CubeCell>> RollUp(const GroupKey& key) const;
-
-  /// Drill-down: all refinements of `key` along dimension `dim` (which
-  /// must not be set in key.mask), sorted by the added value.
-  Result<std::vector<CubeCell>> DrillDown(const GroupKey& key,
-                                          int dim) const;
-
-  /// Sum over a cuboid of cell values — for count/sum cubes of a full
-  /// relation this equals the apex value, a handy consistency probe.
-  double CuboidTotal(CuboidMask mask) const;
+  /// The `k` largest cells of a cuboid by aggregate value, ties broken by
+  /// value vector.
+  std::vector<CubeCell> TopK(CuboidMask mask, size_t k) const;
 
  private:
-  /// Expands key.values onto dimension positions (unset dims are 0).
-  std::vector<int64_t> Expand(const GroupKey& key) const;
-
-  int num_dims_;
   std::vector<std::vector<CubeCell>> cuboids_;  // indexed by mask
 };
 

@@ -88,8 +88,7 @@ class Relation {
   }
 
   /// One dimension's values for all rows, contiguous in memory — the unit
-  /// of columnar scans (BUC partitioning, PipeSort ordering, cardinality
-  /// sampling).
+  /// of columnar scans (BUC partitioning and its cardinality sampling).
   std::span<const int64_t> column(int d) const {
     return cols_[static_cast<size_t>(d)];
   }

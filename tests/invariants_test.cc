@@ -70,8 +70,9 @@ TEST_P(InvariantsTest, CountInvariants) {
   EXPECT_EQ(cube.Lookup(GroupKey(0, {})).value(), n);
   CubeStore store(cube);
   for (CuboidMask mask = 0; mask < 16; ++mask) {
-    EXPECT_NEAR(store.CuboidTotal(mask), n, 1e-6)
-        << algorithm->name() << " cuboid " << mask;
+    double total = 0.0;
+    for (const CubeCell& cell : store.Cuboid(mask)) total += cell.value;
+    EXPECT_NEAR(total, n, 1e-6) << algorithm->name() << " cuboid " << mask;
   }
 
   // Descendant dominance.

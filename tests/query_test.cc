@@ -1,13 +1,10 @@
-// Tests for the OLAP query layer (CubeStore): lookups, slices, top-k,
-// roll-up / drill-down navigation, checked against the reference cube.
+// Tests for CubeStore, the per-cuboid sorted view spcube_cli writes cuboid
+// files and top-k listings from, checked against the reference cube.
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "cube/cube_result.h"
 #include "query/cube_store.h"
-#include "relation/generators.h"
 
 namespace spcube {
 namespace {
@@ -24,17 +21,6 @@ Relation SalesRelation() {
   return rel;
 }
 
-TEST(CubeStoreTest, PointLookups) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  EXPECT_EQ(store.num_dims(), 2);
-  EXPECT_EQ(store.Value(GroupKey(0, {})).value(), 45.0);
-  EXPECT_EQ(store.Value(GroupKey(0b01, {0})).value(), 35.0);
-  EXPECT_EQ(store.Value(GroupKey(0b10, {1})).value(), 8.0);
-  EXPECT_EQ(store.Value(GroupKey(0b11, {0, 0})).value(), 30.0);
-  EXPECT_FALSE(store.Value(GroupKey(0b01, {9})).ok());
-}
-
 TEST(CubeStoreTest, CuboidsAreSortedAndComplete) {
   CubeStore store(ComputeCubeReference(SalesRelation(),
                                        AggregateKind::kCount));
@@ -42,61 +28,10 @@ TEST(CubeStoreTest, CuboidsAreSortedAndComplete) {
   EXPECT_EQ(store.Cuboid(0b01).size(), 2u);
   EXPECT_EQ(store.Cuboid(0b10).size(), 2u);
   EXPECT_EQ(store.Cuboid(0b11).size(), 4u);
-  EXPECT_EQ(store.num_cells(), 9);
   const auto& base = store.Cuboid(0b11);
   for (size_t i = 1; i < base.size(); ++i) {
     EXPECT_LT(base[i - 1].key.values, base[i].key.values);
   }
-}
-
-TEST(CubeStoreTest, SlicePrefixPath) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  // Fix product=laptop (dim 0), group by city (dim 1): prefix range scan.
-  auto slice = store.Slice(GroupKey(0b01, {0}), 0b10);
-  ASSERT_TRUE(slice.ok());
-  ASSERT_EQ(slice->size(), 2u);
-  EXPECT_EQ((*slice)[0].key, GroupKey(0b11, {0, 0}));
-  EXPECT_EQ((*slice)[0].value, 30.0);
-  EXPECT_EQ((*slice)[1].key, GroupKey(0b11, {0, 1}));
-  EXPECT_EQ((*slice)[1].value, 5.0);
-}
-
-TEST(CubeStoreTest, SliceGeneralPath) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  // Fix city=rome (dim 1), group by product (dim 0): fixed dim comes
-  // after the group-by dim, so the store must filter.
-  auto slice = store.Slice(GroupKey(0b10, {0}), 0b01);
-  ASSERT_TRUE(slice.ok());
-  ASSERT_EQ(slice->size(), 2u);
-  std::map<GroupKey, double> by_key;
-  for (const CubeCell& cell : *slice) by_key[cell.key] = cell.value;
-  EXPECT_EQ(by_key[GroupKey(0b11, {0, 0})], 30.0);
-  EXPECT_EQ(by_key[GroupKey(0b11, {1, 0})], 7.0);
-}
-
-TEST(CubeStoreTest, SliceWithEmptyGroupByIsPointQuery) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  auto slice = store.Slice(GroupKey(0b01, {1}), 0);
-  ASSERT_TRUE(slice.ok());
-  ASSERT_EQ(slice->size(), 1u);
-  EXPECT_EQ((*slice)[0].value, 10.0);
-}
-
-TEST(CubeStoreTest, SliceWithApexFixedReturnsWholeCuboid) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  auto slice = store.Slice(GroupKey(0, {}), 0b11);
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(slice->size(), 4u);
-}
-
-TEST(CubeStoreTest, SliceRejectsOverlap) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  EXPECT_FALSE(store.Slice(GroupKey(0b01, {0}), 0b01).ok());
 }
 
 TEST(CubeStoreTest, TopK) {
@@ -106,68 +41,8 @@ TEST(CubeStoreTest, TopK) {
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].key, GroupKey(0b11, {0, 0}));  // 30
   EXPECT_EQ(top[1].key, GroupKey(0b11, {1, 0}));  // 7
-  auto bottom = store.TopK(0b11, 1, /*largest=*/false);
-  ASSERT_EQ(bottom.size(), 1u);
-  EXPECT_EQ(bottom[0].key, GroupKey(0b11, {1, 1}));  // 3
   // k larger than the cuboid returns everything, sorted.
   EXPECT_EQ(store.TopK(0b01, 10).size(), 2u);
-}
-
-TEST(CubeStoreTest, RollUp) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  auto coarser = store.RollUp(GroupKey(0b11, {0, 1}));
-  ASSERT_TRUE(coarser.ok());
-  ASSERT_EQ(coarser->size(), 2u);
-  // Dropping dim 0 -> (*, paris) = 8; dropping dim 1 -> (laptop, *) = 35.
-  std::map<GroupKey, double> by_key;
-  for (const CubeCell& cell : *coarser) by_key[cell.key] = cell.value;
-  EXPECT_EQ(by_key[GroupKey(0b10, {1})], 8.0);
-  EXPECT_EQ(by_key[GroupKey(0b01, {0})], 35.0);
-  EXPECT_FALSE(store.RollUp(GroupKey(0, {})).ok());
-}
-
-TEST(CubeStoreTest, DrillDown) {
-  CubeStore store(ComputeCubeReference(SalesRelation(),
-                                       AggregateKind::kSum));
-  auto refined = store.DrillDown(GroupKey(0b01, {0}), 1);
-  ASSERT_TRUE(refined.ok());
-  ASSERT_EQ(refined->size(), 2u);
-  EXPECT_EQ((*refined)[0].key, GroupKey(0b11, {0, 0}));
-  EXPECT_EQ((*refined)[1].key, GroupKey(0b11, {0, 1}));
-  EXPECT_FALSE(store.DrillDown(GroupKey(0b01, {0}), 0).ok());
-  EXPECT_FALSE(store.DrillDown(GroupKey(0b01, {0}), 7).ok());
-}
-
-TEST(CubeStoreTest, CuboidTotalsEqualApexForSum) {
-  Relation rel = GenZipfPaper(2000, 81);
-  CubeStore store(ComputeCubeReference(rel, AggregateKind::kSum));
-  const double apex = store.Value(GroupKey(0, {})).value();
-  for (CuboidMask mask = 0; mask < 16; ++mask) {
-    EXPECT_NEAR(store.CuboidTotal(mask), apex, 1e-6) << mask;
-  }
-}
-
-// Randomized consistency: every slice result must agree with filtering the
-// full cuboid by hand, and every drill-down must sum to its parent cell
-// (for sum cubes of disjoint refinements).
-TEST(CubeStoreTest, RandomizedSliceAndDrillDownConsistency) {
-  Relation rel = GenUniform(1500, 3, 6, 83);
-  CubeStore store(ComputeCubeReference(rel, AggregateKind::kSum));
-  for (const CubeCell& cell : store.Cuboid(0b011)) {
-    auto drilled = store.DrillDown(cell.key, 2);
-    ASSERT_TRUE(drilled.ok());
-    double sum = 0.0;
-    for (const CubeCell& refined : *drilled) sum += refined.value;
-    EXPECT_NEAR(sum, cell.value, 1e-6) << cell.key.ToString(3);
-  }
-  for (const CubeCell& cell : store.Cuboid(0b100)) {
-    auto slice = store.Slice(cell.key, 0b011);
-    ASSERT_TRUE(slice.ok());
-    double sum = 0.0;
-    for (const CubeCell& c : *slice) sum += c.value;
-    EXPECT_NEAR(sum, cell.value, 1e-6);
-  }
 }
 
 }  // namespace

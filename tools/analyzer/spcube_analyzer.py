@@ -657,7 +657,7 @@ WIRE_METHOD_RE = re.compile(r"^(EncodeTo|Put[A-Z]\w*)$")
 METRIC_FIELD_NAMES = (
     r"map_input_records|map_output_records|map_output_bytes|"
     r"shuffle_records|shuffle_bytes|combine_input_records|"
-    r"combine_output_records|spill_bytes|shuffle_bytes_compressed|"
+    r"combine_output_records|spill_bytes|"
     r"reducer_input_records|reducer_input_bytes|reducer_wire_bytes|"
     r"reducer_output_records|output_records|task_retries|"
     r"tasks_reexecuted_after_crash|workers_crashed|"

@@ -8,8 +8,7 @@
 #   3. bench JSON smoke                  (--emit-json output validates
 #                                         against tools/validate_bench_json.py;
 #                                         includes a --threads=2 figure-bench
-#                                         run whose measured wall-clock
-#                                         speedup is echoed in the summary)
+#                                         run)
 #   4. chaos                             (OOM-injection / drift / recovery
 #                                         grid under the asan-ubsan preset
 #                                         with lifetime checks forced on)
@@ -55,18 +54,12 @@ build_and_test() {
     ctest --test-dir build --output-on-failure -j "$(nproc)"
 }
 
-# Filled in by bench_json_smoke from the threaded figure-bench run; echoed
-# next to the summary table so the wall-clock effect of the default
-# multicore path is visible in every full run. The determinism line does
-# the same for the model-purity rule family (docs/INTERNALS.md §14).
-threading_speedup_line=""
-determinism_line=""
-
 # Per-rule finding counts for the determinism & model-purity family
 # (docs/INTERNALS.md §14), echoed in every summary — fast runs included —
 # so a dirty tree is visible even when only the quick gate ran. Uses the
 # dependency-free internal backend; counts come from the --summary table
 # on stderr.
+determinism_line=""
 determinism_rule_counts() {
   determinism_line="determinism rules (§14): $(python3 \
     tools/analyzer/spcube_analyzer.py --fast --summary \
@@ -88,25 +81,7 @@ bench_json_smoke() {
     ./build/bench/bench_paper --figure=7 --scale=0.05 --threads=2 \
       --emit-json="${fig_out}" >/dev/null &&
     python3 tools/validate_bench_json.py "${fig_out}" &&
-    python3 tools/validate_bench_json.py BENCH_*.json || return 1
-  # Measured wall-clock speedup of the 2-thread run over a serial rerun of
-  # the same sweep (sp-cube rows only). Informational: on a single-core
-  # host this is expectedly <= 1x.
-  local serial_out="build/bench_fig7_serial_smoke.json"
-  ./build/bench/bench_paper --figure=7 --scale=0.05 --threads=1 \
-    --emit-json="${serial_out}" >/dev/null || return 1
-  threading_speedup_line=$(python3 - "${serial_out}" "${fig_out}" <<'EOF'
-import json, sys
-def spcube_wall(path):
-    doc = json.load(open(path))
-    return sum(r["wall_seconds"] for r in doc["results"]
-               if r["name"].startswith("sp-cube/") and not r["failed"])
-serial, threaded = spcube_wall(sys.argv[1]), spcube_wall(sys.argv[2])
-if threaded > 0:
-    print("wall-clock speedup (fig7 sp-cube, 2 threads vs serial): "
-          "%.2fx (%.3fs -> %.3fs)" % (serial / threaded, serial, threaded))
-EOF
-  )
+    python3 tools/validate_bench_json.py BENCH_*.json
 }
 
 # The adaptive-recovery grid (tests/recovery_test.cc) under address+UB
@@ -163,9 +138,6 @@ for i in "${!stage_names[@]}"; do
   printf '%-18s %s\n' "${stage_names[$i]}" "${stage_results[$i]}"
   [[ "${stage_results[$i]}" == "FAIL" ]] && failed=1
 done
-if [[ -n "${threading_speedup_line}" ]]; then
-  echo "${threading_speedup_line}"
-fi
 if [[ -n "${determinism_line}" ]]; then
   echo "${determinism_line}"
 fi

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
 #include <string>
 
 #include "baselines/hive.h"
@@ -41,10 +40,6 @@ struct Config {
            kAggregates[aggregate] + "_s" + std::to_string(seed);
   }
 };
-
-/// Prints a grid point by name, so the test names gtest derives from it
-/// hold no raw struct bytes (padding included).
-void PrintTo(const Config& config, std::ostream* os) { *os << config.Name(); }
 
 Relation MakeRelation(const Config& config) {
   const int64_t n = 1200;
@@ -121,22 +116,6 @@ TEST_P(DifferentialTest, AllAlgorithmsMatchReference) {
         CubeResult::ApproxEqual(reference, *output->cube, 1e-6, &diff))
         << config.Name() << " / " << algorithm->name() << ":\n"
         << diff;
-    if (algorithm != &sp) continue;
-    // Tight budgets push SP-Cube's shuffle through delta-encoded spill runs
-    // (docs/INTERNALS.md §13). Payload-denominated metrics never see the
-    // encoding; wire bytes (segment payloads plus spilled-run file bytes)
-    // collapse to the payload when nothing spilled.
-    for (size_t r = 0; r < output->metrics.rounds.size(); ++r) {
-      const JobMetrics& m = output->metrics.rounds[r];
-      int64_t payload = 0;
-      for (int64_t bytes : m.reducer_input_bytes) payload += bytes;
-      int64_t wire = 0;
-      for (int64_t bytes : m.reducer_wire_bytes) wire += bytes;
-      EXPECT_EQ(m.shuffle_bytes, payload) << config.Name() << " round " << r;
-      if (m.spill_bytes == 0) {
-        EXPECT_EQ(wire, m.shuffle_bytes) << config.Name() << " round " << r;
-      }
-    }
   }
 }
 
@@ -224,6 +203,57 @@ TEST_P(FaultedDifferentialTest, RecoveryIsExactAndCounterInvisible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGrid, FaultedDifferentialTest,
+                         ::testing::ValuesIn(MakeGrid()),
+                         [](const ::testing::TestParamInfo<Config>& info) {
+                           return info.param.Name();
+                         });
+
+/// Compressed spill storage (docs/INTERNALS.md §13) under the same grid:
+/// tight budgets push SP-Cube's shuffle through delta-encoded spill runs,
+/// and the cube must stay exact. Payload-denominated metrics never see the
+/// encoding; wire bytes (segment payloads plus spilled-run file bytes)
+/// collapse to the payload when nothing spilled.
+class CompressedStorageDifferentialTest
+    : public ::testing::TestWithParam<Config> {};
+
+TEST_P(CompressedStorageDifferentialTest, EncodingIsExactAndMetricInvisible) {
+  const Config& config = GetParam();
+  const Relation rel = MakeRelation(config);
+  const AggregateKind kind = static_cast<AggregateKind>(config.aggregate);
+  const CubeResult reference = ComputeCubeReference(rel, kind);
+
+  EngineConfig cluster;
+  cluster.num_workers = config.workers;
+  cluster.memory_budget_bytes = int64_t{1} << (10 + 2 * config.budget_shift);
+  cluster.network_bandwidth_bytes_per_sec = 0;
+
+  CubeRunOptions options;
+  options.aggregate = kind;
+
+  SpCubeAlgorithm sp;
+  DistributedFileSystem dfs;
+  Engine engine(cluster, &dfs);
+  auto output = sp.Run(engine, rel, options);
+  ASSERT_TRUE(output.ok()) << config.Name() << ": " << output.status();
+
+  std::string diff;
+  EXPECT_TRUE(CubeResult::ApproxEqual(reference, *output->cube, 1e-6, &diff))
+      << config.Name() << " vs reference:\n" << diff;
+
+  for (size_t r = 0; r < output->metrics.rounds.size(); ++r) {
+    const JobMetrics& m = output->metrics.rounds[r];
+    int64_t payload = 0;
+    for (int64_t bytes : m.reducer_input_bytes) payload += bytes;
+    int64_t wire = 0;
+    for (int64_t bytes : m.reducer_wire_bytes) wire += bytes;
+    EXPECT_EQ(m.shuffle_bytes, payload) << config.Name() << " round " << r;
+    if (m.spill_bytes == 0) {
+      EXPECT_EQ(wire, m.shuffle_bytes) << config.Name() << " round " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGrid, CompressedStorageDifferentialTest,
                          ::testing::ValuesIn(MakeGrid()),
                          [](const ::testing::TestParamInfo<Config>& info) {
                            return info.param.Name();

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,10 +48,6 @@ struct Config {
            kAggregates[aggregate] + "_s" + std::to_string(seed);
   }
 };
-
-/// Prints a grid point by name, so the test names gtest derives from it
-/// hold no raw struct bytes (padding included).
-void PrintTo(const Config& config, std::ostream* os) { *os << config.Name(); }
 
 Relation MakeRelation(const Config& config) {
   const int64_t n = 900;
